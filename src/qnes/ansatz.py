@@ -165,12 +165,14 @@ class AnsatzSpec:
     num_layers: int
     structure_seed: int = 0
 
+    def __post_init__(self):
+        if self.family not in ("rpqc", "alpqc"):
+            raise ValueError(f"unknown ansatz family {self.family!r}; expected rpqc or alpqc")
+
     def build(self) -> CircuitTemplate:
         if self.family == "rpqc":
             return build_rpqc(self.num_qubits, self.num_layers, self.structure_seed)
-        if self.family == "alpqc":
-            return build_alpqc(self.num_qubits, self.num_layers)
-        raise ValueError(f"unknown ansatz family {self.family!r}")
+        return build_alpqc(self.num_qubits, self.num_layers)
 
 
 def template_to_text(template: CircuitTemplate) -> str:

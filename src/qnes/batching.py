@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nes import (
-    FullDistribution,
-    NesConfig,
-    SeparableDistribution,
-    make_evaluator,
-    sample_walkers,
-    snes_step,
-    spread_max,
-    xnes_step,
-)
+from .nes import FullDistribution, NesConfig, SeparableDistribution, _optimize_blocks
 from .numerics import SeededRng
 from .trace import RunTrace
 
@@ -47,11 +38,10 @@ class PartitionStrategy:
 
 @dataclass
 class BatchSchedule:
-    """Ordered, disjoint, exhaustive index batches plus the round-robin cursor."""
+    """Ordered, disjoint, exhaustive index batches, visited round-robin from the first."""
 
     num_params: int
     batches: tuple[np.ndarray, ...]
-    cursor: int = 0
 
     def __post_init__(self):
         flat = np.concatenate([np.asarray(b, dtype=int) for b in self.batches]) \
@@ -133,52 +123,11 @@ def batch_optimize(
         raise ValueError("initial_mu length must match the schedule's parameter count")
     if not sigma_init > 0:
         raise ValueError("sigma_init must be positive")
-    evaluator = make_evaluator(fitness, fitness_batch, n_workers)
-    n_batches = len(schedule.batches)
-    cursor = schedule.cursor
 
-    if variant == "snes":
-        sigma = np.full(mu.size, float(sigma_init))
-        scales, shapes = None, None
-    else:
-        sigma = None
-        scales = [float(sigma_init)] * n_batches
-        shapes = [np.eye(len(b)) for b in schedule.batches]
-
-    def sub_dist(b: int):
-        idx = schedule.batches[b]
+    def block(idx):
         if variant == "snes":
-            return SeparableDistribution(mu=mu[idx], sigma=sigma[idx])
-        return FullDistribution(mu=mu[idx], sigma=scales[b], shape=shapes[b])
+            return SeparableDistribution(mu=mu[idx], sigma=np.full(len(idx), float(sigma_init)))
+        return FullDistribution.isotropic(mu[idx], sigma_init)
 
-    def global_spread() -> float:
-        if variant == "snes":
-            return float(np.max(sigma))
-        return max(spread_max(sub_dist(b)) for b in range(n_batches))
-
-    if trace is None:
-        trace = RunTrace()
-    evaluations = 0
-    trace.record(0, evaluations, evaluator(mu[None, :])[0], global_spread(), cursor)
-    for iteration in range(1, config.max_iterations + 1):
-        if global_spread() <= config.stop_threshold:
-            break
-        active = cursor
-        idx = schedule.batches[active]
-        sub = sub_dist(active)
-        batch = sample_walkers(sub, config.population, rng)
-        points_full = np.repeat(mu[None, :], config.population, axis=0)
-        points_full[:, idx] = batch.points
-        batch.fitnesses = evaluator(points_full)
-        if variant == "snes":
-            new_sub = snes_step(sub, batch, config)
-            sigma[idx] = new_sub.sigma
-        else:
-            new_sub = xnes_step(sub, batch, config)
-            scales[active] = new_sub.sigma
-            shapes[active] = new_sub.shape
-        mu[idx] = new_sub.mu
-        cursor = (cursor + 1) % n_batches
-        evaluations += config.population
-        trace.record(iteration, evaluations, evaluator(mu[None, :])[0], global_spread(), active)
-    return mu, trace
+    blocks = [(idx, block(idx)) for idx in schedule.batches]
+    return _optimize_blocks(fitness, blocks, mu, config, rng, trace, fitness_batch, n_workers)

@@ -12,12 +12,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .hamiltonian import vqe_fitness, vqe_fitness_batch
 from .nes import NesConfig, SeparableDistribution, optimize
 from .numerics import SeededRng
 from .simulator import (
     PauliSum,
     pauli_expectation_batch,
     run_circuit_batch,
+    stateprep_fitness,
+    stateprep_fitness_batch,
     vacuum_projector_expectation,
 )
 from .trace import GradientSnapshot, RunTrace
@@ -66,6 +69,17 @@ def stateprep_loss_gradient(template, params: np.ndarray) -> np.ndarray:
 
 def energy_loss_gradient(template, params: np.ndarray, observable: PauliSum) -> np.ndarray:
     return parameter_shift_expectation_gradient(template, params, observable)
+
+
+def loss_functions(template, observable: PauliSum | None = None):
+    """(loss, batched loss, loss gradient): the energy of observable, or state prep if None."""
+    if observable is None:
+        return (lambda z: stateprep_fitness(template, z),
+                lambda rows: stateprep_fitness_batch(template, rows),
+                lambda z: stateprep_loss_gradient(template, z))
+    return (lambda z: vqe_fitness(template, z, observable),
+            lambda rows: vqe_fitness_batch(template, rows, observable),
+            lambda z: energy_loss_gradient(template, z, observable))
 
 
 @dataclass
@@ -220,19 +234,7 @@ def hybrid_optimize(
     d = template.num_params
     mu = rng.uniform(d, 0.0, 2.0 * np.pi) if initial_mu is None else np.array(initial_mu, float)
 
-    if observable is None:
-        from .simulator import stateprep_fitness, stateprep_fitness_batch
-
-        loss_fn = lambda z: stateprep_fitness(template, z)
-        loss_batch = lambda rows: stateprep_fitness_batch(template, rows)
-        grad_fn = lambda z: stateprep_loss_gradient(template, z)
-    else:
-        from .hamiltonian import vqe_fitness, vqe_fitness_batch
-
-        loss_fn = lambda z: vqe_fitness(template, z, observable)
-        loss_batch = lambda rows: vqe_fitness_batch(template, rows, observable)
-        grad_fn = lambda z: energy_loss_gradient(template, z, observable)
-
+    loss_fn, loss_batch, grad_fn = loss_functions(template, observable)
     trace = RunTrace()
     trace.gradient_snapshots.append(GradientSnapshot(0, grad_fn(mu)))
 

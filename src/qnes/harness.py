@@ -20,23 +20,21 @@ import numpy as np
 
 from . import __version__
 from .ansatz import AnsatzSpec, template_to_text
-from .batching import PartitionStrategy, batch_optimize, make_partition
+from .batching import STRATEGY_KINDS, PartitionStrategy, batch_optimize, make_partition
 from .gradients import (
     GdConfig,
     VarianceScanConfig,
-    energy_loss_gradient,
     gradient_descent,
     hybrid_optimize,
     local_cost_observable,
-    stateprep_loss_gradient,
+    loss_functions,
     surrogate_gradient_variance_scan,
 )
 from .hamiltonian import (
+    MAX_DENSE_QUBITS,
     bundled_hamiltonian_path,
     exact_ground_energy,
     load_pauli_file,
-    vqe_fitness,
-    vqe_fitness_batch,
 )
 from .nes import (
     FullDistribution,
@@ -46,7 +44,6 @@ from .nes import (
     optimize,
 )
 from .numerics import SeededRng
-from .simulator import stateprep_fitness, stateprep_fitness_batch
 from .trace import RunTrace
 
 EXPERIMENT_KINDS = ("stateprep", "vqe", "variance_scan", "batch", "hybrid", "compare_gd")
@@ -68,7 +65,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     out_dir: Path
     max_iterations: int
-    ansatz: AnsatzSpec | None
+    ansatz: AnsatzSpec
     optimizer: str = "snes"
     walkers: int = 16
     sigma_init: float = 0.1
@@ -104,40 +101,38 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
         raise ConfigError(f"config parse error: {exc}") from exc
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key).strip()
-        return default
-
-    def require(section, key):
-        value = get(section, key)
+    def get(section, key, default=None, cast=str):
+        value = parser.get(section, key).strip() if parser.has_option(section, key) else default
         if value is None:
+            return None
+        try:
+            return cast(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"invalid value for [{section}] {key}: {value!r} ({exc})") from exc
+
+    def require(section, key, cast=str):
+        if not parser.has_option(section, key):
             raise ConfigError(f"missing required config key [{section}] {key}")
-        return value
+        return get(section, key, cast=cast)
+
+    def tokens(cast):
+        return lambda value: tuple(cast(token) for token in value.split())
 
     experiment = require("experiment", "kind")
     if experiment not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {experiment!r}")
-    try:
-        seeds = tuple(int(s) for s in require("experiment", "seeds").split())
-    except ValueError as exc:
-        raise ConfigError(f"invalid seeds list: {exc}") from exc
+    seeds = require("experiment", "seeds", tokens(int))
     if not seeds:
         raise ConfigError("seeds must be non-empty")
-    out_dir = base_dir / get("experiment", "out", "runs/out")
-    max_iterations = int(get("experiment", "max_iterations", "500"))
 
-    ansatz = None
-    if parser.has_section("ansatz"):
-        family = require("ansatz", "family")
-        ansatz = AnsatzSpec(
-            family=family,
-            num_qubits=int(require("ansatz", "qubits")),
-            num_layers=int(require("ansatz", "layers")),
-            structure_seed=int(get("ansatz", "structure_seed", "0")),
-        )
-    elif experiment != "variance_scan":
+    if not parser.has_section("ansatz"):
         raise ConfigError("missing [ansatz] section")
+    spec = (require("ansatz", "family"), require("ansatz", "qubits", int),
+            require("ansatz", "layers", int), get("ansatz", "structure_seed", "0", int))
+    try:
+        ansatz = AnsatzSpec(*spec)
+    except ValueError as exc:
+        raise ConfigError(f"[ansatz] family: {exc}") from exc
 
     optimizer = get("optimizer", "kind", "snes")
     if optimizer not in OPTIMIZER_KINDS:
@@ -146,31 +141,25 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
     config = ExperimentConfig(
         experiment=experiment,
         seeds=seeds,
-        out_dir=out_dir,
-        max_iterations=max_iterations,
+        out_dir=base_dir / get("experiment", "out", "runs/out"),
+        max_iterations=get("experiment", "max_iterations", "500", int),
         ansatz=ansatz,
         optimizer=optimizer,
-        walkers=int(get("optimizer", "walkers", "16")),
-        sigma_init=float(get("optimizer", "sigma_init", "0.1")),
-        stop_threshold=float(get("optimizer", "stop_threshold", "1e-8")),
-        workers=int(get("optimizer", "workers", "0")),
-        gd_tolerance=float(get("gradient_descent", "tolerance", "1e-8")),
+        walkers=get("optimizer", "walkers", "16", int),
+        sigma_init=get("optimizer", "sigma_init", "0.1", float),
+        stop_threshold=get("optimizer", "stop_threshold", "1e-8", float),
+        workers=get("optimizer", "workers", "0", int),
+        gd_learning_rate=get("gradient_descent", "learning_rate", cast=float),
+        gd_max_iterations=get("gradient_descent", "max_iterations", cast=int),
+        gd_tolerance=get("gradient_descent", "tolerance", "1e-8", float),
         batch_strategy=get("batch", "strategy", "random"),
-        scan_num_inits=int(get("variance_scan", "num_inits", "500")),
-        hybrid_warmup=int(get("hybrid", "warmup", "5")),
-        hybrid_snapshot_interval=int(get("hybrid", "snapshot_interval", "0")),
-    )
-    if get("gradient_descent", "learning_rate") is not None:
-        config.gd_learning_rate = float(get("gradient_descent", "learning_rate"))
-    if get("gradient_descent", "max_iterations") is not None:
-        config.gd_max_iterations = int(get("gradient_descent", "max_iterations"))
-    if get("batch", "size") is not None:
-        config.batch_size = int(get("batch", "size"))
-    config.scan_sigma_values = tuple(
-        _parse_angle_token(t) for t in get("variance_scan", "sigma_values", "pi/8 pi/16 pi/32").split()
-    )
-    config.scan_walker_counts = tuple(
-        int(t) for t in get("variance_scan", "walker_counts", "1 2 4 8").split()
+        batch_size=get("batch", "size", cast=int),
+        scan_num_inits=get("variance_scan", "num_inits", "500", int),
+        scan_sigma_values=get("variance_scan", "sigma_values", "pi/8 pi/16 pi/32",
+                              tokens(_parse_angle_token)),
+        scan_walker_counts=get("variance_scan", "walker_counts", "1 2 4 8", tokens(int)),
+        hybrid_warmup=get("hybrid", "warmup", "5", int),
+        hybrid_snapshot_interval=get("hybrid", "snapshot_interval", "0", int),
     )
     ham = get("vqe", "hamiltonian")
     if ham is not None:
@@ -198,22 +187,25 @@ def _validate(config: ExperimentConfig) -> None:
     needs_gd = config.experiment in ("compare_gd", "hybrid") or config.optimizer == "gd"
     if needs_gd and config.gd_learning_rate is None:
         raise ConfigError("[gradient_descent] learning_rate is required for this experiment")
-    if config.experiment == "vqe":
-        if config.hamiltonian_path is None:
-            raise ConfigError("[vqe] hamiltonian is required for the vqe experiment")
+    if config.hamiltonian_path is not None:
+        if config.experiment in ("stateprep", "variance_scan"):
+            raise ConfigError(f"[vqe] hamiltonian is set, but kind = {config.experiment} "
+                              "does not minimize an energy; use kind = vqe")
         if not config.hamiltonian_path.exists():
             raise ConfigError(f"hamiltonian file not found: {config.hamiltonian_path}")
+    elif config.experiment == "vqe":
+        raise ConfigError("[vqe] hamiltonian is required for the vqe experiment")
     if config.experiment == "batch":
-        if config.batch_strategy not in ("random", "layer_wise", "qubit_wise",
-                                         "layer_block", "qubit_block"):
+        if config.batch_strategy not in STRATEGY_KINDS:
             raise ConfigError(f"unknown batch strategy {config.batch_strategy!r}")
         if config.optimizer not in ("snes", "xnes"):
             raise ConfigError("batch experiment needs optimizer snes or xnes")
     if config.experiment == "variance_scan":
         if config.scan_num_inits < 2:
             raise ConfigError("variance_scan num_inits must be >= 2")
-        if config.ansatz is None:
-            raise ConfigError("missing [ansatz] section")
+        if config.ansatz.family != "rpqc":
+            raise ConfigError("[ansatz] family must be rpqc for variance_scan, "
+                              "which scans the random circuit")
 
 
 def load_config(path, overrides: dict[str, str] | None = None, seeds=None,
@@ -346,6 +338,14 @@ def _nes_config(config: ExperimentConfig) -> NesConfig:
     )
 
 
+def _gd_config(config: ExperimentConfig) -> GdConfig:
+    return GdConfig(
+        learning_rate=config.gd_learning_rate,
+        max_iterations=config.gd_max_iterations or config.max_iterations,
+        tolerance=config.gd_tolerance,
+    )
+
+
 def _initial_distribution(config: ExperimentConfig, mu0: np.ndarray):
     if config.optimizer == "snes":
         return SeparableDistribution(mu=mu0, sigma=np.full(mu0.size, config.sigma_init))
@@ -354,37 +354,59 @@ def _initial_distribution(config: ExperimentConfig, mu0: np.ndarray):
     return IsotropicDistribution(mu=mu0, sigma=config.sigma_init)
 
 
-def _stateprep_functions(template):
-    return (lambda z: stateprep_fitness(template, z),
-            lambda rows: stateprep_fitness_batch(template, rows))
+def _problem(config: ExperimentConfig, template):
+    """(fitness, fitness_batch, grad_fn, observable, header_extra) of the configured loss.
+
+    The energy of the [vqe] Hamiltonian when one is set, state preparation otherwise.
+    """
+    if config.hamiltonian_path is None:
+        return (*loss_functions(template), None, {})
+    h = load_pauli_file(config.hamiltonian_path)
+    extra = {}
+    if h.num_qubits <= MAX_DENSE_QUBITS:
+        reference = exact_ground_energy(h)
+        extra["exact_ground_energy"] = repr(reference)
+        print(f"exact_ground_energy = {reference!r}")
+    return (*loss_functions(template, h), h, extra)
 
 
 def _run_nes(config: ExperimentConfig, template, fitness, fitness_batch, seed: int) -> RunTrace:
     rng = SeededRng(seed)
     mu0 = rng.uniform(template.num_params, 0.0, 2.0 * np.pi)
-    dist = _initial_distribution(config, mu0)
     trace = RunTrace()
-    optimize(fitness, dist, _nes_config(config), rng, trace=trace,
-             fitness_batch=None if config.workers else fitness_batch,
-             n_workers=config.workers)
+    fitness_batch = None if config.workers else fitness_batch
+    if config.experiment == "batch":
+        strategy = PartitionStrategy(kind=config.batch_strategy, batch_size=config.batch_size)
+        schedule = make_partition(template, strategy, rng)
+        batch_optimize(fitness, schedule, mu0, config.sigma_init, _nes_config(config), rng,
+                       variant=config.optimizer, trace=trace, fitness_batch=fitness_batch,
+                       n_workers=config.workers)
+    else:
+        optimize(fitness, _initial_distribution(config, mu0), _nes_config(config), rng,
+                 trace=trace, fitness_batch=fitness_batch, n_workers=config.workers)
     return trace
 
 
 def _run_gd(config: ExperimentConfig, template, loss_fn, grad_fn, seed: int) -> RunTrace:
     rng = SeededRng(seed)
     x0 = rng.uniform(template.num_params, 0.0, 2.0 * np.pi)
-    gd = GdConfig(
-        learning_rate=config.gd_learning_rate,
-        max_iterations=config.gd_max_iterations or config.max_iterations,
-        tolerance=config.gd_tolerance,
-    )
     trace = RunTrace()
-    gradient_descent(loss_fn, grad_fn, x0, gd, trace)
+    gradient_descent(loss_fn, grad_fn, x0, _gd_config(config), trace)
     return trace
 
 
-def _run_seeds(config: ExperimentConfig, runner, suffix: str = "",
-               extra: dict | None = None) -> dict[int, RunTrace]:
+def _run_hybrid(config: ExperimentConfig, template, observable, seed: int) -> RunTrace:
+    _, trace = hybrid_optimize(
+        template, config.hybrid_warmup, _nes_config(config), _gd_config(config),
+        SeededRng(seed), observable=observable, sigma_init=config.sigma_init,
+        snapshot_interval=config.hybrid_snapshot_interval or None,
+    )
+    write_snapshot_csv(config.out_dir / f"trace_seed{seed}_gradients.csv", trace, config, seed)
+    return trace
+
+
+def _run_seeds(config: ExperimentConfig, runner, suffix: str,
+               extra: dict) -> dict[int, RunTrace]:
     # traces are written as each seed finishes, so a runtime failure mid-way
     # leaves the completed seeds' files on disk
     traces = {}
@@ -395,8 +417,8 @@ def _run_seeds(config: ExperimentConfig, runner, suffix: str = "",
     return traces
 
 
-def _emit_summary(config: ExperimentConfig, traces: dict[int, RunTrace], suffix: str = "",
-                  extra: dict | None = None) -> None:
+def _emit_summary(config: ExperimentConfig, traces: dict[int, RunTrace], suffix: str,
+                  extra: dict) -> None:
     pool = list(traces.values())
     _truncate_to_common_grid(pool)
     rows = [
@@ -412,69 +434,30 @@ def _emit_summary(config: ExperimentConfig, traces: dict[int, RunTrace], suffix:
 def run_experiment(config: ExperimentConfig) -> None:
     """Execute the configured experiment once per seed and write trace/summary CSVs."""
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    if config.ansatz is not None:
-        # provenance: the exact gate list the run used
-        (config.out_dir / "circuit.txt").write_text(
-            template_to_text(config.ansatz.build()), encoding="utf-8"
-        )
-    runner = {
-        "stateprep": _run_stateprep,
-        "vqe": _run_vqe,
-        "variance_scan": _run_variance_scan,
-        "batch": _run_batch,
-        "hybrid": _run_hybrid,
-        "compare_gd": _run_compare_gd,
-    }[config.experiment]
-    runner(config)
-
-
-def _run_stateprep(config: ExperimentConfig) -> None:
     template = config.ansatz.build()
-    fitness, fitness_batch = _stateprep_functions(template)
+    # provenance: the exact gate list the run used
+    (config.out_dir / "circuit.txt").write_text(template_to_text(template), encoding="utf-8")
+    if config.experiment == "variance_scan":
+        _run_variance_scan(config)
+        return
+    fitness, fitness_batch, grad_fn, observable, extra = _problem(config, template)
 
-    def runner(seed):
-        if config.optimizer == "gd":
-            return _run_gd(config, template, fitness,
-                           lambda z: stateprep_loss_gradient(template, z), seed)
+    def nes(seed):
         return _run_nes(config, template, fitness, fitness_batch, seed)
 
-    _emit_summary(config, _run_seeds(config, runner))
+    def gd(seed):
+        return _run_gd(config, template, fitness, grad_fn, seed)
 
-
-def _run_compare_gd(config: ExperimentConfig) -> None:
-    template = config.ansatz.build()
-    fitness, fitness_batch = _stateprep_functions(template)
-    nes_traces = _run_seeds(
-        config, lambda seed: _run_nes(config, template, fitness, fitness_batch, seed),
-        suffix="_nes",
-    )
-    gd_traces = _run_seeds(
-        config,
-        lambda seed: _run_gd(config, template, fitness,
-                             lambda z: stateprep_loss_gradient(template, z), seed),
-        suffix="_gd",
-    )
-    _emit_summary(config, nes_traces, suffix="_nes")
-    _emit_summary(config, gd_traces, suffix="_gd")
-
-
-def _run_vqe(config: ExperimentConfig) -> None:
-    template = config.ansatz.build()
-    h = load_pauli_file(config.hamiltonian_path)
-    reference = exact_ground_energy(h) if h.num_qubits <= 12 else None
-    extra = {} if reference is None else {"exact_ground_energy": repr(reference)}
-    if reference is not None:
-        print(f"exact_ground_energy = {reference!r}")
-    fitness = lambda z: vqe_fitness(template, z, h)
-    fitness_batch = lambda rows: vqe_fitness_batch(template, rows, h)
-
-    def runner(seed):
-        if config.optimizer == "gd":
-            return _run_gd(config, template, fitness,
-                           lambda z: energy_loss_gradient(template, z, h), seed)
-        return _run_nes(config, template, fitness, fitness_batch, seed)
-
-    _emit_summary(config, _run_seeds(config, runner, extra=extra), extra=extra)
+    if config.experiment == "compare_gd":
+        runners = {"_nes": nes, "_gd": gd}
+    elif config.experiment == "hybrid":
+        runners = {"": lambda seed: _run_hybrid(config, template, observable, seed)}
+    else:
+        runners = {"": gd if config.optimizer == "gd" else nes}
+    traces = {suffix: _run_seeds(config, runner, suffix, extra)
+              for suffix, runner in runners.items()}
+    for suffix, seed_traces in traces.items():
+        _emit_summary(config, seed_traces, suffix, extra)
 
 
 def _run_variance_scan(config: ExperimentConfig) -> None:
@@ -495,46 +478,3 @@ def _run_variance_scan(config: ExperimentConfig) -> None:
         lines.append(f"{row.sigma_init!r},{row.walkers},"
                      f"{row.variance_surrogate!r},{row.variance_exact!r}")
     (config.out_dir / "variance_scan.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _run_batch(config: ExperimentConfig) -> None:
-    template = config.ansatz.build()
-    fitness, fitness_batch = _stateprep_functions(template)
-    strategy = PartitionStrategy(kind=config.batch_strategy, batch_size=config.batch_size)
-
-    def runner(seed):
-        rng = SeededRng(seed)
-        mu0 = rng.uniform(template.num_params, 0.0, 2.0 * np.pi)
-        schedule = make_partition(template, strategy, rng)
-        trace = RunTrace()
-        batch_optimize(
-            fitness, schedule, mu0, config.sigma_init, _nes_config(config), rng,
-            variant=config.optimizer, trace=trace,
-            fitness_batch=None if config.workers else fitness_batch,
-            n_workers=config.workers,
-        )
-        return trace
-
-    _emit_summary(config, _run_seeds(config, runner))
-
-
-def _run_hybrid(config: ExperimentConfig) -> None:
-    template = config.ansatz.build()
-    gd = GdConfig(
-        learning_rate=config.gd_learning_rate,
-        max_iterations=config.gd_max_iterations or config.max_iterations,
-        tolerance=config.gd_tolerance,
-    )
-
-    def runner(seed):
-        rng = SeededRng(seed)
-        _, trace = hybrid_optimize(
-            template, config.hybrid_warmup, _nes_config(config), gd, rng,
-            sigma_init=config.sigma_init,
-            snapshot_interval=config.hybrid_snapshot_interval or None,
-        )
-        write_snapshot_csv(config.out_dir / f"trace_seed{seed}_gradients.csv",
-                           trace, config, seed)
-        return trace
-
-    _emit_summary(config, _run_seeds(config, runner))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import SeededRng, matrix_exponential_symmetric, sample_standard_normal_vector
+from .numerics import SeededRng, matrix_exponential_symmetric, scale_from_factor
 from .trace import RunTrace
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "compute_utilities",
     "default_learning_rates",
     "default_population",
-    "map_to_task",
     "sample_walkers",
     "canonical_gradient_estimate",
     "estimate_fisher",
@@ -42,7 +41,6 @@ __all__ = [
     "canonical_step",
     "snes_step",
     "xnes_step",
-    "spread_max",
     "optimize",
 ]
 
@@ -53,6 +51,7 @@ class IsotropicDistribution:
 
     mu: np.ndarray
     sigma: float
+    min_population = 1
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -61,6 +60,17 @@ class IsotropicDistribution:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
+    def to_task(self, samples: np.ndarray) -> np.ndarray:
+        """Map local-coordinate samples (k, d) to task coordinates."""
+        return self.mu + self.sigma * samples
+
+    def spread(self) -> float:
+        """Stopping statistic: the fixed width."""
+        return float(self.sigma)
+
+    def step(self, batch: "WalkerBatch", config: "NesConfig") -> "IsotropicDistribution":
+        return canonical_step(self, batch, config)
+
 
 @dataclass
 class SeparableDistribution:
@@ -68,6 +78,7 @@ class SeparableDistribution:
 
     mu: np.ndarray
     sigma: np.ndarray
+    min_population = 2  # rank-based fitness shaping
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -79,6 +90,17 @@ class SeparableDistribution:
         if not np.all(self.sigma > 0):
             raise ValueError("all sigma components must be positive")
 
+    def to_task(self, samples: np.ndarray) -> np.ndarray:
+        """Map local-coordinate samples (k, d) to task coordinates."""
+        return self.mu + self.sigma * samples
+
+    def spread(self) -> float:
+        """Stopping statistic: the largest sigma component."""
+        return float(np.max(self.sigma))
+
+    def step(self, batch: "WalkerBatch", config: "NesConfig") -> "SeparableDistribution":
+        return snes_step(self, batch, config)
+
 
 @dataclass
 class FullDistribution:
@@ -87,6 +109,7 @@ class FullDistribution:
     mu: np.ndarray
     sigma: float
     shape: np.ndarray
+    min_population = 2  # rank-based fitness shaping
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -102,8 +125,6 @@ class FullDistribution:
     @classmethod
     def from_factor(cls, mu: np.ndarray, factor: np.ndarray) -> "FullDistribution":
         """Split a covariance factor A into sigma = |det A|^(1/d) and B = A/sigma."""
-        from .numerics import scale_from_factor
-
         sigma, shape = scale_from_factor(factor)
         return cls(mu=mu, sigma=sigma, shape=shape)
 
@@ -111,6 +132,21 @@ class FullDistribution:
     def isotropic(cls, mu: np.ndarray, sigma: float) -> "FullDistribution":
         mu = np.asarray(mu, dtype=float)
         return cls(mu=mu, sigma=float(sigma), shape=np.eye(mu.size))
+
+    def to_task(self, samples: np.ndarray) -> np.ndarray:
+        """Map local-coordinate samples (k, d) to task coordinates."""
+        # z_n = mu + sigma * B s_n: the factor side must match the exponential
+        # B update (B <- B exp(.)), otherwise the shape feedback is applied in a
+        # rotated frame and the coupled dynamics diverge on converged quadratics
+        return self.mu + self.sigma * (samples @ self.shape.T)
+
+    def spread(self) -> float:
+        """Stopping statistic: the largest |entry| of the covariance sigma^2 B B^T."""
+        cov = self.sigma**2 * (self.shape @ self.shape.T)
+        return float(np.max(np.abs(cov)))
+
+    def step(self, batch: "WalkerBatch", config: "NesConfig") -> "FullDistribution":
+        return xnes_step(self, batch, config)
 
 
 @dataclass
@@ -184,27 +220,13 @@ def default_population(d: int) -> int:
     return int(round(4 + 3 * math.log(d)))
 
 
-def map_to_task(dist, samples: np.ndarray) -> np.ndarray:
-    """Map local-coordinate samples (k, d) to task coordinates for the given variant."""
-    if isinstance(dist, IsotropicDistribution):
-        return dist.mu + dist.sigma * samples
-    if isinstance(dist, SeparableDistribution):
-        return dist.mu + dist.sigma * samples
-    if isinstance(dist, FullDistribution):
-        # z_n = mu + sigma * B s_n: the factor side must match the exponential
-        # B update (B <- B exp(.)), otherwise the shape feedback is applied in a
-        # rotated frame and the coupled dynamics diverge on converged quadratics
-        return dist.mu + dist.sigma * (samples @ dist.shape.T)
-    raise TypeError(f"unknown distribution type {type(dist).__name__}")
-
-
 def sample_walkers(dist, k: int, rng: SeededRng) -> WalkerBatch:
     """Draw k walkers, one independent child stream per walker index."""
     if k < 1:
         raise ValueError("population must be >= 1")
     d = dist.mu.size
-    samples = np.stack([sample_standard_normal_vector(rng.stream(n), d) for n in range(k)])
-    return WalkerBatch(samples=samples, points=map_to_task(dist, samples))
+    samples = np.stack([rng.stream(n).normal(d) for n in range(k)])
+    return WalkerBatch(samples=samples, points=dist.to_task(samples))
 
 
 def canonical_gradient_estimate(batch: WalkerBatch, sigma_init: float) -> np.ndarray:
@@ -290,28 +312,6 @@ def xnes_step(dist: FullDistribution, batch: WalkerBatch, config: NesConfig) -> 
     return FullDistribution(mu=mu, sigma=sigma * drift, shape=shape / drift)
 
 
-def spread_max(dist) -> float:
-    """Stopping statistic: max sigma component, or max |entry| of the full covariance."""
-    if isinstance(dist, IsotropicDistribution):
-        return float(dist.sigma)
-    if isinstance(dist, SeparableDistribution):
-        return float(np.max(dist.sigma))
-    if isinstance(dist, FullDistribution):
-        cov = dist.sigma**2 * (dist.shape @ dist.shape.T)
-        return float(np.max(np.abs(cov)))
-    raise TypeError(f"unknown distribution type {type(dist).__name__}")
-
-
-def _step_for(dist):
-    if isinstance(dist, IsotropicDistribution):
-        return canonical_step
-    if isinstance(dist, SeparableDistribution):
-        return snes_step
-    if isinstance(dist, FullDistribution):
-        return xnes_step
-    raise TypeError(f"unknown distribution type {type(dist).__name__}")
-
-
 def make_evaluator(fitness, fitness_batch=None, n_workers: int = 0):
     """Row-matrix fitness evaluator: vectorized, threaded, or serial.
 
@@ -344,22 +344,45 @@ def optimize(
     loss at the center each iteration (one reporting evaluation, not counted);
     counted evaluations grow by exactly k per iteration.
     """
-    step = _step_for(dist)
-    if not isinstance(dist, IsotropicDistribution) and config.population < 2:
-        raise ValueError("population must be >= 2 for fitness shaping")
+    blocks = [(np.arange(dist.mu.size), dist)]
+    return _optimize_blocks(fitness, blocks, np.array(dist.mu), config, rng, trace,
+                            fitness_batch, n_workers, callback)
+
+
+def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: SeededRng,
+                     trace: RunTrace | None = None, fitness_batch=None, n_workers: int = 0,
+                     callback=None) -> tuple[np.ndarray, RunTrace]:
+    """The one strategy loop, over (indices, distribution) blocks of the vector mu.
+
+    Blocks are disjoint and visited round-robin. Each iteration samples the
+    active block, evaluates walkers that equal mu outside the block's columns,
+    steps the block's distribution and writes its new mean back into mu (in
+    place). The spread statistic is the largest spread over all blocks.
+    """
+    dists = [dist for _, dist in blocks]
+    needed = max(dist.min_population for dist in dists)
+    if config.population < needed:
+        raise ValueError(f"population must be >= {needed} for fitness shaping")
+    spreads = [dist.spread() for dist in dists]
     evaluator = make_evaluator(fitness, fitness_batch, n_workers)
     if trace is None:
         trace = RunTrace()
     evaluations = 0
-    trace.record(0, evaluations, evaluator(dist.mu[None, :])[0], spread_max(dist))
+    trace.record(0, evaluations, evaluator(mu[None, :])[0], max(spreads))
     for iteration in range(1, config.max_iterations + 1):
-        if spread_max(dist) <= config.stop_threshold:
+        if max(spreads) <= config.stop_threshold:
             break
-        batch = sample_walkers(dist, config.population, rng)
-        batch.fitnesses = evaluator(batch.points)
-        dist = step(dist, batch, config)
+        active = (iteration - 1) % len(blocks)
+        idx = blocks[active][0]
+        batch = sample_walkers(dists[active], config.population, rng)
+        points = np.repeat(mu[None, :], config.population, axis=0)
+        points[:, idx] = batch.points
+        batch.fitnesses = evaluator(points)
+        dist = dists[active] = dists[active].step(batch, config)
+        spreads[active] = dist.spread()
+        mu[idx] = dist.mu
         evaluations += config.population
-        trace.record(iteration, evaluations, evaluator(dist.mu[None, :])[0], spread_max(dist))
+        trace.record(iteration, evaluations, evaluator(mu[None, :])[0], max(spreads), active)
         if callback is not None:
             callback(iteration, dist)
-    return dist.mu, trace
+    return mu, trace

@@ -6,7 +6,6 @@ import numpy as np
 
 __all__ = [
     "SeededRng",
-    "sample_standard_normal_vector",
     "matrix_exponential_symmetric",
     "scale_from_factor",
 ]
@@ -59,13 +58,6 @@ class SeededRng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def sample_standard_normal_vector(rng: SeededRng, d: int) -> np.ndarray:
-    """Draw d independent standard-normal values, advancing the stream."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return rng.normal(d)
 
 
 def _check_square(g: np.ndarray, name: str) -> np.ndarray:

@@ -9,7 +9,7 @@ from qnes.batching import (
     batch_optimize,
     make_partition,
 )
-from qnes.nes import NesConfig, SeparableDistribution, optimize
+from qnes.nes import FullDistribution, NesConfig, SeparableDistribution, optimize
 from qnes.numerics import SeededRng
 from qnes.simulator import stateprep_fitness, stateprep_fitness_batch
 
@@ -85,7 +85,8 @@ class TestMakePartition:
 
 
 class TestBatchOptimize:
-    def test_single_batch_reduces_to_plain_optimize(self):
+    @pytest.mark.parametrize("variant", ["snes", "xnes"])
+    def test_single_batch_reduces_to_plain_optimize(self, variant):
         template = build_rpqc(4, 3, structure_seed=7)
         fitness = lambda z: stateprep_fitness(template, z)
         fitness_batch = lambda rows: stateprep_fitness_batch(template, rows)
@@ -96,10 +97,13 @@ class TestBatchOptimize:
         schedule = make_partition(template, PartitionStrategy("random", d), SeededRng(1))
         rng_a = SeededRng(5)
         mu_batch, trace_batch = batch_optimize(
-            fitness, schedule, mu0, 0.1, cfg, rng_a, variant="snes", fitness_batch=fitness_batch
+            fitness, schedule, mu0, 0.1, cfg, rng_a, variant=variant, fitness_batch=fitness_batch
         )
         rng_b = SeededRng(5)
-        dist = SeparableDistribution(mu0, np.full(d, 0.1))
+        if variant == "snes":
+            dist = SeparableDistribution(mu0, np.full(d, 0.1))
+        else:
+            dist = FullDistribution.isotropic(mu0, 0.1)
         mu_plain, trace_plain = optimize(fitness, dist, cfg, rng_b, fitness_batch=fitness_batch)
 
         assert np.array_equal(mu_batch, mu_plain)

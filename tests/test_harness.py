@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qnes.ansatz import AnsatzSpec
 from qnes.cli import main
+from qnes.hamiltonian import bundled_hamiltonian_path, load_pauli_file, vqe_fitness
 from qnes.harness import (
     ConfigError,
     load_config,
@@ -10,6 +12,7 @@ from qnes.harness import (
     run_experiment,
     summarize,
 )
+from qnes.numerics import SeededRng
 
 STATEPREP_CONFIG = """
 [experiment]
@@ -97,6 +100,14 @@ class TestConfigParsing:
         )
         config = parse_config_text(text, base_dir=tmp_path)
         assert np.allclose(config.scan_sigma_values, (np.pi / 8, np.pi / 16, 0.25))
+
+    def test_variance_scan_needs_rpqc(self, tmp_path):
+        text = (
+            "[experiment]\nkind = variance_scan\nseeds = 0\n"
+            "[ansatz]\nfamily = alpqc\nqubits = 3\nlayers = 2\n"
+        )
+        with pytest.raises(ConfigError, match=r"\[ansatz\] family"):
+            parse_config_text(text, base_dir=tmp_path)
 
     def test_override_via_load_config(self, tmp_path):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="runs/x"))
@@ -262,6 +273,46 @@ class TestCli:
     def test_bad_override_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         assert main(["run", str(path), "--override", "walkers9"]) == 2
+
+    @pytest.mark.parametrize("override, key", [
+        ("experiment.max_iterations=abc", "[experiment] max_iterations"),
+        ("experiment.seeds=0 x", "[experiment] seeds"),
+        ("ansatz.qubits=three", "[ansatz] qubits"),
+        ("ansatz.family=qaoa", "[ansatz] family"),
+        ("optimizer.sigma_init=wide", "[optimizer] sigma_init"),
+        ("gradient_descent.learning_rate=fast", "[gradient_descent] learning_rate"),
+        ("variance_scan.sigma_values=pi/0", "[variance_scan] sigma_values"),
+        ("vqe.hamiltonian=bundled:h2", "[vqe] hamiltonian"),
+    ])
+    def test_invalid_value_exit_two_names_key(self, tmp_path, capsys, override, key):
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
+        assert main(["run", str(path), "--override", override]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, trace_name", [
+        ("hybrid", "trace_seed4.csv"),
+        ("compare_gd", "trace_seed4_nes.csv"),
+        ("compare_gd", "trace_seed4_gd.csv"),
+        ("batch", "trace_seed4.csv"),
+    ])
+    def test_hamiltonian_sets_the_loss_of_every_optimizer(self, tmp_path, capsys, kind,
+                                                           trace_name):
+        text = (
+            f"[experiment]\nkind = {kind}\nseeds = 4\nmax_iterations = 3\nout = {tmp_path/'h'}\n"
+            "[ansatz]\nfamily = rpqc\nqubits = 2\nlayers = 3\nstructure_seed = 2\n"
+            "[optimizer]\nkind = snes\nwalkers = 6\n"
+            "[gradient_descent]\nlearning_rate = 0.1\nmax_iterations = 2\n"
+            "[hybrid]\nwarmup = 2\n"
+            "[batch]\nstrategy = layer_wise\n"
+            "[vqe]\nhamiltonian = bundled:h2\n"
+        )
+        assert main(["run", str(write_config(tmp_path, text))]) == 0
+        template = AnsatzSpec("rpqc", 2, 3, 2).build()
+        mu0 = SeededRng(4).uniform(template.num_params, 0.0, 2.0 * np.pi)
+        h2 = load_pauli_file(bundled_hamiltonian_path("h2"))
+        trace_path = tmp_path / "h" / trace_name
+        assert read_trace_csv(trace_path)["loss"][0] == vqe_fitness(template, mu0, h2)
+        assert "# exact_ground_energy: -1.857275030202" in trace_path.read_text()
 
     def test_summarize_subcommand(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

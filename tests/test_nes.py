@@ -16,11 +16,9 @@ from qnes.nes import (
     default_learning_rates,
     default_population,
     estimate_fisher,
-    map_to_task,
     optimize,
     sample_walkers,
     snes_step,
-    spread_max,
     xnes_step,
 )
 from qnes.numerics import SeededRng
@@ -84,17 +82,17 @@ class TestSampling:
             SeparableDistribution(mu, np.array([2.0, 3.0])),
             FullDistribution.isotropic(mu, 0.5),
         ):
-            assert np.allclose(map_to_task(dist, np.zeros((3, 2))), mu)
+            assert np.allclose(dist.to_task(np.zeros((3, 2))), mu)
 
     def test_separable_componentwise(self):
         dist = SeparableDistribution(np.zeros(2), np.array([2.0, 3.0]))
-        assert np.allclose(map_to_task(dist, np.array([[1.0, -1.0]])), [[2.0, -3.0]])
+        assert np.allclose(dist.to_task(np.array([[1.0, -1.0]])), [[2.0, -3.0]])
 
     def test_full_with_identity_shape_matches_isotropic(self, rng):
         mu = np.array([0.3, -0.7, 1.1])
         samples = rng.normal(12).reshape(4, 3)
-        iso = map_to_task(IsotropicDistribution(mu, 0.4), samples)
-        full = map_to_task(FullDistribution.isotropic(mu, 0.4), samples)
+        iso = IsotropicDistribution(mu, 0.4).to_task(samples)
+        full = FullDistribution.isotropic(mu, 0.4).to_task(samples)
         assert np.allclose(iso, full)
 
     def test_full_applies_shape_on_the_sample(self):
@@ -102,7 +100,7 @@ class TestSampling:
         dist = FullDistribution(np.zeros(2), 2.0, shape)
         s = np.array([[1.0, 1.0]])
         # z = mu + sigma * B s, the same side the exponential B update acts on
-        assert np.allclose(map_to_task(dist, s), (2.0 * shape @ s[0])[None, :])
+        assert np.allclose(dist.to_task(s), (2.0 * shape @ s[0])[None, :])
 
     def test_deterministic_per_walker_streams(self):
         dist = SeparableDistribution(np.zeros(3), np.ones(3))
@@ -189,7 +187,7 @@ class TestSnesStep:
         # 1-D, mu=1, sigma=0.5, s=(+1,-1), f(z)=z^2: best walker is s=-1
         dist = SeparableDistribution(np.array([1.0]), np.array([0.5]))
         samples = np.array([[1.0], [-1.0]])
-        points = map_to_task(dist, samples)
+        points = dist.to_task(samples)
         batch = WalkerBatch(samples, points, points[:, 0] ** 2)
         new = snes_step(dist, batch, NesConfig(population=2, eta_mu=1.0, eta_sigma=0.1))
         assert np.allclose(new.mu, [0.5])
@@ -206,7 +204,7 @@ class TestSnesStep:
     def test_unit_squared_samples_leave_sigma(self):
         dist = SeparableDistribution(np.zeros(2), np.array([0.3, 0.9]))
         samples = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        batch = WalkerBatch(samples, map_to_task(dist, samples), np.array([1.0, 2.0]))
+        batch = WalkerBatch(samples, dist.to_task(samples), np.array([1.0, 2.0]))
         new = snes_step(dist, batch, NesConfig(population=2))
         assert np.allclose(new.sigma, dist.sigma)
 
@@ -233,7 +231,7 @@ class TestXnesStep:
         # identical samples make grad_M = sum(u) * (ss^T - I) vanish with the utilities' sum
         dist = FullDistribution.isotropic(np.zeros(2), 0.5)
         samples = np.array([[1.0, 0.0], [1.0, 0.0]])
-        batch = WalkerBatch(samples, map_to_task(dist, samples), np.array([1.0, 2.0]))
+        batch = WalkerBatch(samples, dist.to_task(samples), np.array([1.0, 2.0]))
         new = xnes_step(dist, batch, NesConfig(population=2))
         assert np.isclose(new.sigma, dist.sigma, rtol=1e-12)
         assert np.allclose(new.shape, dist.shape, atol=1e-12)
@@ -298,7 +296,7 @@ class TestCanonicalStep:
     def test_descends_linear_fitness(self):
         dist = IsotropicDistribution(np.zeros(2), 0.5)
         samples = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        batch = WalkerBatch(samples, map_to_task(dist, samples), None)
+        batch = WalkerBatch(samples, dist.to_task(samples), None)
         batch.fitnesses = batch.points[:, 0]  # f = z_0
         new = canonical_step(dist, batch, NesConfig(population=2, eta_mu=0.5))
         assert new.mu[0] < 0.0  # moved against the gradient
@@ -377,7 +375,7 @@ class TestOptimize:
 
     def test_xnes_stopping_uses_covariance_entries(self):
         dist = FullDistribution.isotropic(np.zeros(2), 1e-5)
-        assert np.isclose(spread_max(dist), 1e-10)
+        assert np.isclose(dist.spread(), 1e-10)
         mu, trace = optimize(sphere, dist, NesConfig(population=4, stop_threshold=1e-8),
                              SeededRng(0))
         assert len(trace) == 1

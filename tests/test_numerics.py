@@ -4,15 +4,14 @@ import pytest
 from qnes.numerics import (
     SeededRng,
     matrix_exponential_symmetric,
-    sample_standard_normal_vector,
     scale_from_factor,
 )
 
 
 class TestSeededRng:
     def test_same_seed_same_draws(self):
-        a = sample_standard_normal_vector(SeededRng(7), 3)
-        b = sample_standard_normal_vector(SeededRng(7), 3)
+        a = SeededRng(7).normal(3)
+        b = SeededRng(7).normal(3)
         assert np.array_equal(a, b)
 
     def test_draw_sequence_is_reproducible(self):
@@ -56,7 +55,7 @@ class TestSeededRng:
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            sample_standard_normal_vector(SeededRng(1), 0)
+            SeededRng(1).normal(0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
