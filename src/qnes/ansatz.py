@@ -20,6 +20,9 @@ BASIS_ROTATION_ANGLE = np.pi / 4
 
 FAMILIES = ("rpqc", "alpqc", "custom")
 
+# smallest (qubits, layers) each built family accepts
+MIN_SIZE = {"rpqc": (2, 1), "alpqc": (3, 1)}
+
 
 @dataclass(frozen=True)
 class CircuitTemplate:
@@ -78,6 +81,14 @@ def template_from_gates(
     )
 
 
+def check_size(family: str, num_qubits: int, num_layers: int) -> None:
+    """Raise ValueError, naming qubits or layers, if either is below the family's minimum."""
+    for key, value, minimum in zip(("qubits", "layers"), (num_qubits, num_layers),
+                                   MIN_SIZE[family]):
+        if value < minimum:
+            raise ValueError(f"{key} must be >= {minimum} for {family}, got {value}")
+
+
 def _basis_rotation_layer(num_qubits: int) -> list[Gate]:
     return [Gate("RY", (q,), angle=BASIS_ROTATION_ANGLE) for q in range(num_qubits)]
 
@@ -88,10 +99,7 @@ def build_rpqc(num_qubits: int, num_layers: int, structure_seed: int) -> Circuit
     Rotation axes are drawn uniformly from {RX, RY, RZ} using structure_seed;
     slot s belongs to layer s // Q on qubit s % Q.
     """
-    if num_qubits < 2:
-        raise ValueError("rpqc needs at least 2 qubits")
-    if num_layers < 1:
-        raise ValueError("rpqc needs at least 1 layer")
+    check_size("rpqc", num_qubits, num_layers)
     rng = SeededRng(structure_seed)
     kinds = rng.integers(0, 3, size=num_qubits * num_layers)
     gates = _basis_rotation_layer(num_qubits)
@@ -123,10 +131,7 @@ def build_alpqc(num_qubits: int, num_layers: int) -> CircuitTemplate:
     qubits 1..Q-1, CZ on pairs (1,2),(3,4),.... All trainable gates are RY;
     2(Q-1) slots per layer.
     """
-    if num_qubits < 3:
-        raise ValueError("alpqc needs at least 3 qubits")
-    if num_layers < 1:
-        raise ValueError("alpqc needs at least 1 layer")
+    check_size("alpqc", num_qubits, num_layers)
     gates = _basis_rotation_layer(num_qubits)
     slot_layers, slot_qubits = [], []
     slot = 0
@@ -166,8 +171,10 @@ class AnsatzSpec:
     structure_seed: int = 0
 
     def __post_init__(self):
-        if self.family not in ("rpqc", "alpqc"):
-            raise ValueError(f"unknown ansatz family {self.family!r}; expected rpqc or alpqc")
+        # messages start with the config key they concern
+        if self.family not in MIN_SIZE:
+            raise ValueError(f"family must be rpqc or alpqc, got {self.family!r}")
+        check_size(self.family, self.num_qubits, self.num_layers)
 
     def build(self) -> CircuitTemplate:
         if self.family == "rpqc":

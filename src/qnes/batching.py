@@ -18,6 +18,7 @@ from .numerics import SeededRng
 from .trace import RunTrace
 
 STRATEGY_KINDS = ("random", "layer_wise", "qubit_wise", "layer_block", "qubit_block")
+SIZED_KINDS = ("random", "layer_block", "qubit_block")  # the kinds that need batch_size
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,7 @@ def _blocks(labels, batch_size: int) -> list[np.ndarray]:
 def make_partition(template, strategy: PartitionStrategy, rng: SeededRng) -> BatchSchedule:
     """Build the fixed batch schedule for a template under the given strategy."""
     num_params = template.num_params
-    needs_size = strategy.kind in ("random", "layer_block", "qubit_block")
-    if needs_size:
+    if strategy.kind in SIZED_KINDS:
         if strategy.batch_size is None or not 1 <= strategy.batch_size <= num_params:
             raise ValueError(
                 f"batch_size must be in [1, {num_params}] for strategy {strategy.kind!r}"

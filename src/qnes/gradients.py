@@ -105,7 +105,9 @@ def gradient_descent(
     """theta <- theta - eta * grad until the gradient norm drops below tolerance.
 
     The trace charges 2 * num_params + 1 evaluations per iteration (the
-    parameter-shift gradient plus the recorded loss).
+    parameter-shift gradient plus the recorded loss). A trace that already has
+    rows is continued: iterations and evaluations count on from its last row,
+    and no new row 0 is recorded.
     """
     x = np.array(initial_params, dtype=float)
     evals_per_iteration = 2 * x.size + 1
@@ -114,7 +116,9 @@ def gradient_descent(
     loss = float(loss_fn(x))
     if not np.isfinite(loss):
         raise RuntimeError("loss diverged at the initial point")
-    trace.record(0, 0, loss, 0.0)
+    if not len(trace):
+        trace.record(0, 0, loss, 0.0)
+    start, start_evals = trace.iterations[-1], trace.evaluations[-1]
     for iteration in range(1, config.max_iterations + 1):
         grad = np.asarray(grad_fn(x), dtype=float)
         if float(np.linalg.norm(grad)) < config.tolerance:
@@ -123,7 +127,7 @@ def gradient_descent(
         loss = float(loss_fn(x))
         if not np.isfinite(loss):
             raise RuntimeError(f"loss diverged at iteration {iteration}")
-        trace.record(iteration, iteration * evals_per_iteration, loss, 0.0)
+        trace.record(start + iteration, start_evals + iteration * evals_per_iteration, loss, 0.0)
     return x, trace
 
 
@@ -255,10 +259,4 @@ def hybrid_optimize(
                 GradientSnapshot(trace.iterations[-1], grad_fn(mu))
             )
 
-    warm_rows = len(trace) - 1 if len(trace) else 0
-    warm_evals = trace.evaluations[-1] if len(trace) else 0
-    params, descent_trace = gradient_descent(loss_fn, grad_fn, mu, gd_config, RunTrace())
-    merged = descent_trace.rows() if len(trace) == 0 else descent_trace.rows()[1:]
-    for it, evals, loss, _, _ in merged:
-        trace.record(warm_rows + it, warm_evals + evals, loss, 0.0)
-    return params, trace
+    return gradient_descent(loss_fn, grad_fn, mu, gd_config, trace)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import AnsatzSpec, template_to_text
-from .batching import STRATEGY_KINDS, PartitionStrategy, batch_optimize, make_partition
+from .batching import SIZED_KINDS, STRATEGY_KINDS, PartitionStrategy, batch_optimize, make_partition
 from .gradients import (
     GdConfig,
     VarianceScanConfig,
@@ -122,8 +122,6 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
     if experiment not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {experiment!r}")
     seeds = require("experiment", "seeds", tokens(int))
-    if not seeds:
-        raise ConfigError("seeds must be non-empty")
 
     if not parser.has_section("ansatz"):
         raise ConfigError("missing [ansatz] section")
@@ -132,7 +130,7 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
     try:
         ansatz = AnsatzSpec(*spec)
     except ValueError as exc:
-        raise ConfigError(f"[ansatz] family: {exc}") from exc
+        raise ConfigError(f"[ansatz] {exc}") from exc
 
     optimizer = get("optimizer", "kind", "snes")
     if optimizer not in OPTIMIZER_KINDS:
@@ -178,6 +176,10 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
 
 
 def _validate(config: ExperimentConfig) -> None:
+    if not config.seeds:
+        raise ConfigError("[experiment] seeds must be non-empty")
+    if min(config.seeds) < 0:
+        raise ConfigError(f"[experiment] seeds (or --seed) must be >= 0, got {min(config.seeds)}")
     if config.walkers < 1:
         raise ConfigError("walkers must be >= 1")
     if config.optimizer in ("snes", "xnes") and config.walkers < 2:
@@ -198,8 +200,15 @@ def _validate(config: ExperimentConfig) -> None:
     if config.experiment == "batch":
         if config.batch_strategy not in STRATEGY_KINDS:
             raise ConfigError(f"unknown batch strategy {config.batch_strategy!r}")
+        if config.batch_strategy in SIZED_KINDS and (config.batch_size or 0) < 1:
+            raise ConfigError(f"[batch] size must be >= 1 for {config.batch_strategy}, "
+                              f"got {config.batch_size}")
         if config.optimizer not in ("snes", "xnes"):
-            raise ConfigError("batch experiment needs optimizer snes or xnes")
+            raise ConfigError("[optimizer] kind must be snes or xnes for the batch experiment")
+    if config.experiment == "hybrid" and config.optimizer != "snes":
+        raise ConfigError("[optimizer] kind must be snes for hybrid (its warm-up is separable)")
+    if config.experiment == "compare_gd" and config.optimizer == "gd":
+        raise ConfigError("[optimizer] kind must be canonical, snes or xnes for compare_gd")
     if config.experiment == "variance_scan":
         if config.scan_num_inits < 2:
             raise ConfigError("variance_scan num_inits must be >= 2")

@@ -5,9 +5,10 @@ Conventions, used consistently everywhere (including by the Hamiltonian parser):
 - rotations are half-angle: R_P(theta) = exp(-i * theta * P / 2) for P in {X, Y, Z};
 - CZ is diag(1, 1, 1, -1).
 
-Kernels update amplitudes in place with stride-based index arithmetic and accept
-either a single state of shape (2**Q,) or a batch of shape (B, 2**Q); batched runs
-evaluate many parameter vectors of the same circuit at once.
+Every Pauli action, whether inside a rotation gate or as an observable term, is one
+index permutation and one phase vector: P|psi> = phase * psi[perm]. States are
+either a single vector of shape (2**Q,) or a batch of shape (B, 2**Q); batched
+runs evaluate many parameter vectors of the same circuit at once.
 """
 
 from __future__ import annotations
@@ -116,59 +117,10 @@ def _check_target(q: int, num_qubits: int) -> None:
         raise IndexError(f"qubit {q} out of range for {num_qubits} qubits")
 
 
-def _bcast(coeff, batched: bool):
-    # per-row rotation coefficients broadcast over the (row, high, low) kernel axes
-    return coeff[:, None, None] if batched and np.ndim(coeff) == 1 else coeff
-
-
-def _apply_rotation(rows: np.ndarray, kind: str, qubit: int, cos_half, sin_half) -> None:
-    batched = rows.shape[0] > 1 or np.ndim(cos_half) == 1
-    view = rows.reshape(rows.shape[0], -1, 2, 1 << qubit)
-    c = _bcast(cos_half, batched)
-    s = _bcast(sin_half, batched)
-    if kind == "RZ":
-        view[:, :, 0, :] *= c - 1j * s
-        view[:, :, 1, :] *= c + 1j * s
-        return
-    a0 = view[:, :, 0, :].copy()
-    a1 = view[:, :, 1, :]
-    if kind == "RX":
-        view[:, :, 0, :] = c * a0 - 1j * s * a1
-        view[:, :, 1, :] = -1j * s * a0 + c * a1
-    else:  # RY
-        view[:, :, 0, :] = c * a0 - s * a1
-        view[:, :, 1, :] = s * a0 + c * a1
-
-
-def _apply_cz(rows: np.ndarray, q_a: int, q_b: int) -> None:
-    lo, hi = (q_a, q_b) if q_a < q_b else (q_b, q_a)
-    view = rows.reshape(rows.shape[0], -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    view[:, :, 1, :, 1, :] *= -1.0
-
-
-def apply_gate(state: np.ndarray, gate: Gate, angle: float = 0.0) -> np.ndarray:
-    """Apply one gate in place (angle is ignored for CZ); returns the state for chaining."""
-    nq = num_qubits_of(state)
-    rows = _rows(state)
-    if gate.kind == "CZ":
-        _check_target(gate.qubits[0], nq)
-        _check_target(gate.qubits[1], nq)
-        _apply_cz(rows, gate.qubits[0], gate.qubits[1])
-        return state
-    _check_target(gate.qubits[0], nq)
-    theta = angle if gate.slot is not None else (gate.angle if gate.angle is not None else angle)
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("rotation angle must be finite")
-    half = 0.5 * theta
-    _apply_rotation(rows, gate.kind, gate.qubits[0], np.cos(half), np.sin(half))
-    return state
-
-
-# Batched runs use R_P(theta) = cos(theta/2) I - i sin(theta/2) P applied as
-# full-array operations: Pauli actions reduce to precomputed index permutations
-# and sign vectors, so per-walker coefficients broadcast with long inner loops
-# instead of the short strided slices a 2x2 kernel would produce.
+# R_P(theta) = cos(theta/2) I - i sin(theta/2) P is applied as full-array
+# operations: the Pauli action is a gather through a cached index permutation
+# and/or a multiply by a cached phase vector, so per-row coefficients broadcast
+# over long inner loops instead of short strided slices.
 
 
 @lru_cache(maxsize=512)
@@ -195,18 +147,73 @@ def _cz_sign(num_qubits: int, q_a: int, q_b: int) -> np.ndarray:
     return 1.0 - 2.0 * both
 
 
+def _pauli_action(num_qubits: int, paulis) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(perm, phase) with P|psi> = phase * psi[perm]; None stands for an identity part.
+
+    Phases multiply; the first flip's cached permutation is XORed with any further flips.
+    """
+    perm, phase, mask = None, None, 0
+    for q, p in paulis:
+        if p != "Z":
+            if perm is None:
+                perm = _x_permutation(num_qubits, q)
+            else:
+                mask |= 1 << q
+        if p != "X":
+            factor = _z_sign(num_qubits, q) if p == "Z" else _y_factor(num_qubits, q)
+            phase = factor if phase is None else phase * factor
+    return (perm ^ mask if mask else perm), phase
+
+
+def _gate_op(num_qubits: int, gate: Gate, rot_index: int) -> tuple:
+    if gate.kind == "CZ":
+        return ("cz", _cz_sign(num_qubits, gate.qubits[0], gate.qubits[1]))
+    return ("rot", *_pauli_action(num_qubits, ((gate.qubits[0], gate.kind[1]),)), rot_index)
+
+
+def _evolve(state: np.ndarray, ops, cos_half: np.ndarray, minus_i_sin: np.ndarray) -> None:
+    """Apply compiled ops in place to (B, 2**Q) rows; rotation i takes column i of the angles."""
+    tmp = np.empty_like(state)
+    buf = np.empty_like(state)
+    for op in ops:
+        if op[0] == "cz":
+            np.multiply(state, op[1], out=state)
+            continue
+        _, perm, phase, i = op
+        if perm is None:
+            np.multiply(state, phase, out=tmp)
+        else:
+            np.take(state, perm, axis=1, out=tmp, mode="clip")
+            if phase is not None:
+                tmp *= phase
+        np.multiply(state, cos_half[:, i, None], out=buf)
+        np.multiply(tmp, minus_i_sin[:, i, None], out=tmp)
+        np.add(buf, tmp, out=state)
+
+
+def apply_gate(state: np.ndarray, gate: Gate, angle=0.0) -> np.ndarray:
+    """Apply one gate in place, returning the state; angle is a scalar or one per row."""
+    nq = num_qubits_of(state)
+    for q in gate.qubits:
+        _check_target(q, nq)
+    theta = np.asarray(gate.angle if gate.angle is not None else angle, dtype=float)
+    if gate.kind != "CZ" and not np.all(np.isfinite(theta)):
+        raise ValueError("rotation angle must be finite")
+    half = 0.5 * theta.reshape(-1, 1)
+    _evolve(_rows(state), [_gate_op(nq, gate, 0)], np.cos(half), -1j * np.sin(half))
+    return state
+
+
 @lru_cache(maxsize=64)
 def _compiled(template) -> tuple:
-    """Template flattened to kernel-friendly arrays (rotation order + slot/fixed angle split)."""
-    ops = []  # ("rot", kind, qubit, rot_index) | ("cz", a, b)
+    """Template resolved to kernel ops (rotation order + slot/fixed angle split)."""
+    ops = []  # ("rot", perm, phase, rot_index) | ("cz", sign)
     rot_slots = []   # (rot_index, slot) pairs
     rot_fixed = []   # (rot_index, angle) pairs
     n_rot = 0
     for g in template.gates:
-        if g.kind == "CZ":
-            ops.append(("cz", g.qubits[0], g.qubits[1]))
-        else:
-            ops.append(("rot", g.kind, g.qubits[0], n_rot))
+        ops.append(_gate_op(template.num_qubits, g, n_rot))
+        if g.kind != "CZ":
             if g.slot is not None:
                 rot_slots.append((n_rot, g.slot))
             else:
@@ -228,33 +235,14 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
         )
     ops, n_rot, slot_pos, slot_idx, fixed_pos, fixed_val = _compiled(template)
     b = param_rows.shape[0]
-    nq = template.num_qubits
     angles = np.empty((b, n_rot), dtype=float)
     if slot_pos.size:
         angles[:, slot_pos] = param_rows[:, slot_idx]
     if fixed_pos.size:
         angles[:, fixed_pos] = fixed_val
     half = 0.5 * angles
-    cos_half = np.cos(half)
-    minus_i_sin = -1j * np.sin(half)
-
-    state = zero_state(nq, batch=b)
-    tmp = np.empty_like(state)
-    buf = np.empty_like(state)
-    for op in ops:
-        if op[0] == "cz":
-            np.multiply(state, _cz_sign(nq, op[1], op[2]), out=state)
-            continue
-        kind, qubit, i = op[1], op[2], op[3]
-        if kind == "RZ":
-            np.multiply(state, _z_sign(nq, qubit), out=tmp)
-        else:
-            np.take(state, _x_permutation(nq, qubit), axis=1, out=tmp, mode="clip")
-            if kind == "RY":
-                tmp *= _y_factor(nq, qubit)
-        np.multiply(state, cos_half[:, i, None], out=buf)
-        np.multiply(tmp, minus_i_sin[:, i, None], out=tmp)
-        np.add(buf, tmp, out=state)
+    state = zero_state(template.num_qubits, batch=b)
+    _evolve(state, ops, np.cos(half), -1j * np.sin(half))
     drift = np.max(np.abs(norm_squared(state) - 1.0))
     if drift > NORM_TOL:
         raise RuntimeError(f"statevector norm drifted by {drift:.3e}")
@@ -290,21 +278,12 @@ def stateprep_fitness_batch(template, param_rows: np.ndarray) -> np.ndarray:
 def apply_pauli_string(state: np.ndarray, paulis: tuple[tuple[int, str], ...]) -> np.ndarray:
     """P|psi> for a single Pauli string; returns a new array."""
     nq = num_qubits_of(state)
-    out = state.copy()
-    rows = _rows(out)
-    for q, p in paulis:
+    for q, _ in paulis:
         _check_target(q, nq)
-        view = rows.reshape(rows.shape[0], -1, 2, 1 << q)
-        if p == "Z":
-            view[:, :, 1, :] *= -1.0
-        elif p == "X":
-            tmp = view[:, :, 0, :].copy()
-            view[:, :, 0, :] = view[:, :, 1, :]
-            view[:, :, 1, :] = tmp
-        else:  # Y
-            tmp = view[:, :, 0, :].copy()
-            view[:, :, 0, :] = -1j * view[:, :, 1, :]
-            view[:, :, 1, :] = 1j * tmp
+    perm, phase = _pauli_action(nq, paulis)
+    out = state.copy() if perm is None else np.take(state, perm, axis=-1)
+    if phase is not None:
+        out *= phase
     return out
 
 

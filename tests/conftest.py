@@ -1,7 +1,8 @@
 """Shared test helpers: a dense-matrix circuit oracle and random circuit generation.
 
 The oracle builds the full 2**Q x 2**Q unitary from explicit Kronecker products
-and dense multiplication; it shares no code with the simulator's stride kernels.
+and dense multiplication; it shares no code with the simulator's permutation and
+phase-vector kernel.
 """
 
 import numpy as np

@@ -19,6 +19,7 @@ from qnes.gradients import (
 from qnes.nes import NesConfig
 from qnes.numerics import SeededRng
 from qnes.simulator import Gate, PauliSum, stateprep_fitness
+from qnes.trace import RunTrace
 
 
 def single_ry():
@@ -119,6 +120,16 @@ class TestGradientDescent:
             GdConfig(learning_rate=0.1, max_iterations=4),
         )
         assert trace.evaluations == [0, 7, 14, 21, 28]
+
+    def test_continues_a_trace_with_rows(self):
+        trace = RunTrace()
+        for it in range(3):
+            trace.record(it, 4 * it, 1.0, 0.1)
+        gradient_descent(lambda x: float(x @ x), lambda x: 2 * x, np.full(3, 2.0),
+                         GdConfig(learning_rate=0.1, max_iterations=2), trace)
+        assert trace.iterations == [0, 1, 2, 3, 4]
+        assert trace.evaluations == [0, 4, 8, 15, 22]
+        assert trace.losses[:3] == [1.0, 1.0, 1.0]
 
     def test_divergence_raises(self):
         # anti-gradient blows the iterate up until the loss leaves the float range

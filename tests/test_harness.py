@@ -289,6 +289,32 @@ class TestCli:
         assert main(["run", str(path), "--override", override]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, key", [
+        (["--override", "experiment.kind=batch", "--override", "batch.strategy=random"],
+         "[batch] size"),
+        (["--override", "experiment.kind=batch", "--override", "batch.strategy=layer_block"],
+         "[batch] size"),
+        (["--override", "experiment.kind=batch", "--override", "batch.strategy=qubit_block",
+          "--override", "batch.size=0"], "[batch] size"),
+        (["--override", "experiment.seeds=0 -1"], "[experiment] seeds"),
+        (["--seed", "2", "--seed", "-3"], "[experiment] seeds"),
+        (["--override", "ansatz.qubits=1"], "[ansatz] qubits"),
+        (["--override", "ansatz.family=alpqc", "--override", "ansatz.qubits=2"],
+         "[ansatz] qubits"),
+        (["--override", "ansatz.layers=0"], "[ansatz] layers"),
+        (["--override", "experiment.kind=hybrid", "--override", "optimizer.kind=xnes",
+          "--override", "gradient_descent.learning_rate=0.1"], "[optimizer] kind"),
+        (["--override", "experiment.kind=compare_gd", "--override", "optimizer.kind=gd",
+          "--override", "gradient_descent.learning_rate=0.1"], "[optimizer] kind"),
+    ], ids=["random-no-size", "layer-block-no-size", "qubit-block-size-0", "config-seed",
+            "cli-seed", "rpqc-1-qubit", "alpqc-2-qubits", "0-layers", "hybrid-xnes",
+            "compare-gd-gd"])
+    def test_rejected_at_load_before_output(self, tmp_path, capsys, args, key):
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
+        assert main(["run", str(path), *args]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind, trace_name", [
         ("hybrid", "trace_seed4.csv"),
         ("compare_gd", "trace_seed4_nes.csv"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_unitary, random_template
+from conftest import dense_unitary, embed_single_qubit, random_template
 
 from qnes.ansatz import build_rpqc, template_from_gates
 from qnes.simulator import (
@@ -19,6 +19,20 @@ from qnes.simulator import (
     vacuum_projector_expectation,
     zero_state,
 )
+
+
+PAULI_MATRICES = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def dense_pauli_string(paulis, num_qubits):
+    dense = np.eye(2**num_qubits, dtype=complex)
+    for q, p in paulis:
+        dense = embed_single_qubit(PAULI_MATRICES[p], q, num_qubits) @ dense
+    return dense
 
 
 def single_slot_template(kind="RY"):
@@ -52,6 +66,17 @@ class TestApplyGate:
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             apply_gate(zero_state(1), Gate("RX", (0,), slot=0), np.nan)
+
+    @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "CZ"])
+    def test_per_row_angles_match_row_by_row(self, rng, kind):
+        gate = Gate(kind, (1, 3)) if kind == "CZ" else Gate(kind, (2,), slot=0)
+        template = random_template(rng, 4, 12)
+        rows = rng.uniform(5 * template.num_params, 0, 2 * np.pi).reshape(5, -1)
+        batch = run_circuit_batch(template, rows)
+        angles = rng.uniform(5, 0, 2 * np.pi)
+        expected = [apply_gate(batch[i].copy(), gate, angles[i]) for i in range(5)]
+        assert apply_gate(batch, gate, angles) is batch
+        assert np.allclose(batch, np.stack(expected), atol=1e-12)
 
     def test_norm_preserved_per_gate(self, rng):
         template = random_template(rng, 3, 24)
@@ -90,6 +115,19 @@ class TestRunCircuit:
             state = run_circuit(template, params)
             expected = dense_unitary(template, params)[:, 0]
             assert np.max(np.abs(state - expected)) < 1e-10
+
+    def test_non_adjacent_cz_matches_dense_oracle(self, rng):
+        for q in (4, 5):
+            for _ in range(10):
+                gates = list(random_template(rng, q, 12, cz_probability=0.0).gates)
+                for _ in range(4):
+                    a, b = (int(v) for v in rng.permutation(q)[:2])
+                    at = int(rng.integers(0, len(gates) + 1, 1)[0])
+                    gates.insert(at, Gate("CZ", (a, b)))
+                template = template_from_gates(q, gates)
+                params = rng.uniform(template.num_params, 0, 2 * np.pi)
+                expected = dense_unitary(template, params)[:, 0]
+                assert np.max(np.abs(run_circuit(template, params) - expected)) < 1e-10
 
     def test_batch_matches_single_runs(self, rng):
         template = build_rpqc(4, 3, structure_seed=5)
@@ -189,22 +227,37 @@ class TestPauliExpectation:
         assert np.allclose(batch, single, atol=1e-12)
 
     def test_pauli_string_matches_dense(self, rng):
-        from conftest import embed_single_qubit
-
-        mats = {
-            "X": np.array([[0, 1], [1, 0]], dtype=complex),
-            "Y": np.array([[0, -1j], [1j, 0]]),
-            "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-        }
+        paulis = ((0, "Y"), (2, "X"))
         for _ in range(10):
             template = random_template(rng, 3, 10)
             params = rng.uniform(template.num_params, 0, 2 * np.pi)
             state = run_circuit(template, params)
-            paulis = ((0, "Y"), (2, "X"))
-            dense = np.eye(8, dtype=complex)
-            for q, p in paulis:
-                dense = embed_single_qubit(mats[p], q, 3) @ dense
-            assert np.allclose(apply_pauli_string(state, paulis), dense @ state, atol=1e-12)
+            assert np.allclose(apply_pauli_string(state, paulis),
+                               dense_pauli_string(paulis, 3) @ state, atol=1e-12)
+
+    @pytest.mark.parametrize("alphabet, flips", [
+        ("", 0),     # identity
+        ("Z", 0),    # phase only
+        ("X", 0),    # permutation only
+        ("XYZ", 2),  # >= 2 flips: further flips are XORed into the first's permutation
+    ])
+    def test_random_strings_match_dense(self, rng, alphabet, flips):
+        def pick(letters):
+            return letters[int(rng.integers(0, len(letters), 1)[0])]
+
+        for q in range(max(flips, 1), 6):
+            template = random_template(rng, q, 10)
+            rows = rng.uniform(3 * template.num_params, 0, 2 * np.pi).reshape(3, -1)
+            states = run_circuit_batch(template, rows)
+            for _ in range(8):
+                size = int(rng.integers(max(flips, 1), q + 1, 1)[0]) if alphabet else 0
+                qubits = rng.permutation(q)[:size]
+                letters = [pick("XY") if j < flips else pick(alphabet) for j in range(size)]
+                paulis = tuple(sorted((int(b), p) for b, p in zip(qubits, letters)))
+                expected = states @ dense_pauli_string(paulis, q).T
+                assert np.allclose(apply_pauli_string(states, paulis), expected, atol=1e-12)
+                assert np.allclose(apply_pauli_string(states[0], paulis), expected[0],
+                                   atol=1e-12)
 
 
 class TestGateValidation:
