@@ -176,6 +176,15 @@ class AnsatzSpec:
             raise ValueError(f"family must be rpqc or alpqc, got {self.family!r}")
         check_size(self.family, self.num_qubits, self.num_layers)
 
+    @property
+    def num_params(self) -> int:
+        """Parameter count of the built template, without building it.
+
+        rpqc has one slot per qubit per layer, alpqc 2(Q-1) per layer.
+        """
+        per_layer = self.num_qubits if self.family == "rpqc" else 2 * (self.num_qubits - 1)
+        return per_layer * self.num_layers
+
     def build(self) -> CircuitTemplate:
         if self.family == "rpqc":
             return build_rpqc(self.num_qubits, self.num_layers, self.structure_seed)

@@ -49,16 +49,26 @@ def expectation_values(template, param_rows: np.ndarray, observable: PauliSum | 
 
 
 def parameter_shift_expectation_gradient(
-    template, params: np.ndarray, observable: PauliSum | None = None
+    template, params: np.ndarray, observable: PauliSum | None = None, components=None
 ) -> np.ndarray:
-    """Exact expectation gradient from 2 * num_params shifted circuit evaluations."""
+    """Exact expectation derivatives by parameter shift, two circuit rows per component.
+
+    components=None gives the full gradient from 2 * num_params rows; a sequence
+    of parameter indices gives those derivatives, in the order given, from
+    2 * len(components) rows. Rows are evaluated independently, so a component
+    is bit-identical to the same entry of the full gradient.
+    """
     params = np.asarray(params, dtype=float)
     p = template.num_params
-    shifted = np.repeat(params[None, :], 2 * p, axis=0)
-    shifted[np.arange(p), np.arange(p)] += SHIFT
-    shifted[p + np.arange(p), np.arange(p)] -= SHIFT
+    index = np.arange(p) if components is None else np.asarray(components, dtype=int).ravel()
+    if np.any((index < 0) | (index >= p)):
+        raise ValueError(f"components must be parameter indices in [0, {p})")
+    n = index.size
+    shifted = np.repeat(params[None, :], 2 * n, axis=0)
+    shifted[np.arange(n), index] += SHIFT
+    shifted[n + np.arange(n), index] -= SHIFT
     values = expectation_values(template, shifted, observable)
-    return (values[:p] - values[p:]) / 2.0
+    return (values[:n] - values[n:]) / 2.0
 
 
 def stateprep_loss_gradient(template, params: np.ndarray) -> np.ndarray:
@@ -169,7 +179,10 @@ def surrogate_gradient_variance_scan(config: VarianceScanConfig, rng: SeededRng)
 
     For every (sigma_init, walkers) cell the surrogate is the search-gradient
     estimate; the exact column is the variance of the analytical gradient over
-    the same initializations. Parameters are drawn uniformly in [0, 2*pi).
+    the same initializations. Parameters are drawn uniformly in [0, 2*pi), one
+    uncached child stream per initialization. Each initialization runs 2 shifted
+    rows for the exact component (not 2P: only component 0 is reported) plus k
+    rows per cell, or 2k for the symmetric estimator.
     """
     from .ansatz import build_rpqc
 
@@ -179,9 +192,10 @@ def surrogate_gradient_variance_scan(config: VarianceScanConfig, rng: SeededRng)
     surrogate = {combo: np.empty(config.num_inits) for combo in combos}
     exact = np.empty(config.num_inits)
     for i in range(config.num_inits):
-        stream = rng.stream(i)
+        stream = rng.spawn(i)
         theta = stream.uniform(p, 0.0, 2.0 * np.pi)
-        exact[i] = parameter_shift_expectation_gradient(template, theta, config.observable)[0]
+        exact[i] = parameter_shift_expectation_gradient(
+            template, theta, config.observable, components=(0,))[0]
         for sigma, k in combos:
             samples = np.stack([stream.normal(p) for _ in range(k)])
             forward = expectation_values(template, theta + sigma * samples, config.observable)
@@ -206,13 +220,17 @@ def surrogate_gradient_variance_scan(config: VarianceScanConfig, rng: SeededRng)
 def analytical_gradient_variance(
     template, observable: PauliSum, num_inits: int, rng: SeededRng, component: int = 0
 ) -> float:
-    """Variance of one analytical gradient component over uniform random initializations."""
+    """Variance of one analytical gradient component over uniform random initializations.
+
+    Initialization i draws from uncached child stream i and runs 2 shifted rows.
+    """
     if num_inits < 2:
         raise ValueError("num_inits must be >= 2 for a variance")
     values = np.empty(num_inits)
     for i in range(num_inits):
-        theta = rng.stream(i).uniform(template.num_params, 0.0, 2.0 * np.pi)
-        values[i] = parameter_shift_expectation_gradient(template, theta, observable)[component]
+        theta = rng.spawn(i).uniform(template.num_params, 0.0, 2.0 * np.pi)
+        values[i] = parameter_shift_expectation_gradient(
+            template, theta, observable, components=(component,))[0]
     return float(np.var(values, ddof=1))
 
 

@@ -200,8 +200,11 @@ def _validate(config: ExperimentConfig) -> None:
     if config.experiment == "batch":
         if config.batch_strategy not in STRATEGY_KINDS:
             raise ConfigError(f"unknown batch strategy {config.batch_strategy!r}")
-        if config.batch_strategy in SIZED_KINDS and (config.batch_size or 0) < 1:
-            raise ConfigError(f"[batch] size must be >= 1 for {config.batch_strategy}, "
+        num_params = config.ansatz.num_params
+        if (config.batch_strategy in SIZED_KINDS
+                and not 1 <= (config.batch_size or 0) <= num_params):
+            raise ConfigError(f"[batch] size must be in [1, {num_params}] (the circuit's "
+                              f"parameter count) for {config.batch_strategy}, "
                               f"got {config.batch_size}")
         if config.optimizer not in ("snes", "xnes"):
             raise ConfigError("[optimizer] kind must be snes or xnes for the batch experiment")

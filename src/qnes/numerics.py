@@ -19,8 +19,10 @@ class SeededRng:
     A stream is identified by (seed, spawn path); the same identity always replays
     the same draw sequence, and distinct identities are statistically independent.
     ``stream(i)`` derives child stream ``i``; children are cached on the parent so
-    repeated lookups keep advancing the same child state. Per-walker child streams
-    make results independent of evaluation order.
+    repeated lookups keep advancing the same child state. ``spawn(i)`` returns the
+    same child from its first draw without caching it, for one-shot streams such
+    as one per scan initialization. Per-walker child streams make results
+    independent of evaluation order.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _path: tuple[int, ...] = ()):
@@ -35,12 +37,15 @@ class SeededRng:
         self._gen = np.random.Generator(np.random.Philox(seq))
         self._children: dict[int, SeededRng] = {}
 
+    def spawn(self, child_id: int) -> "SeededRng":
+        """Child stream ``child_id`` at its first draw; the parent keeps no reference."""
+        return SeededRng(self.seed, child_id, self._path + (self.stream_id,))
+
     def stream(self, child_id: int) -> "SeededRng":
         """Independent child stream; cached so its state persists across calls."""
         child = self._children.get(child_id)
         if child is None:
-            child = SeededRng(self.seed, child_id, self._path + (self.stream_id,))
-            self._children[child_id] = child
+            child = self._children[child_id] = self.spawn(child_id)
         return child
 
     def normal(self, d: int) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qnes.gradients
-from qnes.ansatz import build_rpqc, template_from_gates
+from qnes.ansatz import build_alpqc, build_rpqc, template_from_gates
 from qnes.gradients import (
     GdConfig,
     VarianceScanConfig,
@@ -36,6 +36,30 @@ def finite_difference(fn, params, h=1e-5):
     return grad
 
 
+def count_kernel_rows(monkeypatch):
+    """Patch the gradients module's kernel binding; the returned dict counts rows run."""
+    rows_seen = {"n": 0}
+    original = qnes.gradients.run_circuit_batch
+
+    def counting(tmpl, rows):
+        rows_seen["n"] += rows.shape[0]
+        return original(tmpl, rows)
+
+    monkeypatch.setattr(qnes.gradients, "run_circuit_batch", counting)
+    return rows_seen
+
+
+def full_gradient_components(monkeypatch):
+    """Make every components= request take its entries from the full 2P-row gradient."""
+    original = qnes.gradients.parameter_shift_expectation_gradient
+
+    def from_full(template, params, observable=None, components=None):
+        full = original(template, params, observable)
+        return full if components is None else full[list(components)]
+
+    monkeypatch.setattr(qnes.gradients, "parameter_shift_expectation_gradient", from_full)
+
+
 class TestParameterShift:
     def test_ry_half_pi(self):
         grad = parameter_shift_expectation_gradient(single_ry(), np.array([np.pi / 2]))
@@ -66,16 +90,52 @@ class TestParameterShift:
 
     def test_exact_evaluation_count(self, monkeypatch):
         template = build_rpqc(3, 2, structure_seed=4)
-        rows_seen = {"n": 0}
-        original = qnes.gradients.run_circuit_batch
-
-        def counting(tmpl, rows):
-            rows_seen["n"] += rows.shape[0]
-            return original(tmpl, rows)
-
-        monkeypatch.setattr(qnes.gradients, "run_circuit_batch", counting)
+        rows_seen = count_kernel_rows(monkeypatch)
         parameter_shift_expectation_gradient(template, np.zeros(template.num_params))
         assert rows_seen["n"] == 2 * template.num_params
+
+    def test_two_rows_per_component(self, monkeypatch):
+        template = build_rpqc(3, 2, structure_seed=4)
+        rows_seen = count_kernel_rows(monkeypatch)
+        parameter_shift_expectation_gradient(template, np.zeros(template.num_params),
+                                             components=(5, 1, 3))
+        assert rows_seen["n"] == 6
+
+
+COMPONENT_TEMPLATES = {
+    "rpqc-3": lambda: build_rpqc(3, 2, structure_seed=4),
+    "rpqc-5": lambda: build_rpqc(5, 3, structure_seed=9),
+    "alpqc-4": lambda: build_alpqc(4, 2),
+    "alpqc-5": lambda: build_alpqc(5, 1),
+}
+
+
+class TestComponents:
+    @pytest.mark.parametrize("name", COMPONENT_TEMPLATES)
+    @pytest.mark.parametrize("observable", [None, "pauli_sum"])
+    def test_component_is_bit_identical_to_full_gradient(self, rng, name, observable):
+        template = COMPONENT_TEMPLATES[name]()
+        q, p = template.num_qubits, template.num_params
+        if observable == "pauli_sum":
+            observable = PauliSum.build(q, [(0.7, {0: "Z", 1: "Z"}), (-0.4, {1: "X", q - 1: "Y"}),
+                                            (0.25, {0: "Y"}), (0.1, {})])
+        params = rng.uniform(p, 0, 2 * np.pi)
+        full = parameter_shift_expectation_gradient(template, params, observable)
+        for j in (0, p // 2, p - 1):
+            one = parameter_shift_expectation_gradient(template, params, observable,
+                                                       components=(j,))
+            assert one.shape == (1,)
+            assert one[0] == full[j]
+        order = [p - 1, 0, p // 2]
+        several = parameter_shift_expectation_gradient(template, params, observable,
+                                                       components=order)
+        assert several.tolist() == full[order].tolist()
+
+    def test_out_of_range_component_rejected(self):
+        template = build_rpqc(3, 1, structure_seed=0)
+        for bad in ((3,), (-1,)):
+            with pytest.raises(ValueError, match="components"):
+                parameter_shift_expectation_gradient(template, np.zeros(3), components=bad)
 
 
 class TestStateprepLossGradient:
@@ -191,6 +251,70 @@ class TestVarianceScan:
         template = build_rpqc(4, 2, structure_seed=5)
         v = analytical_gradient_variance(template, local_cost_observable(4), 50, SeededRng(7))
         assert v > 0.0
+
+    @pytest.mark.parametrize("estimator", ["single", "symmetric"])
+    def test_scan_matches_full_gradient_recomputation(self, monkeypatch, estimator):
+        config = VarianceScanConfig(
+            num_qubits=4, num_layers=3, structure_seed=5, num_inits=12,
+            sigma_values=(0.4, 0.1), walker_counts=(1, 3),
+            observable=local_cost_observable(4), estimator=estimator,
+        )
+        rows = surrogate_gradient_variance_scan(config, SeededRng(3))
+        full_gradient_components(monkeypatch)
+        assert surrogate_gradient_variance_scan(config, SeededRng(3)) == rows
+
+    @pytest.mark.parametrize("observable", [None, "local"])
+    def test_analytical_variance_matches_full_gradient_recomputation(self, monkeypatch,
+                                                                       observable):
+        template = build_rpqc(4, 3, structure_seed=5)
+        observable = local_cost_observable(4) if observable else None
+        for component in (0, 7):
+            value = analytical_gradient_variance(template, observable, 20, SeededRng(8),
+                                                 component=component)
+            with monkeypatch.context() as patch:
+                full_gradient_components(patch)
+                assert analytical_gradient_variance(template, observable, 20, SeededRng(8),
+                                                    component=component) == value
+
+    def test_exact_column_costs_two_rows_per_init(self, monkeypatch):
+        config = VarianceScanConfig(
+            num_qubits=4, num_layers=5, structure_seed=1, num_inits=6,
+            sigma_values=(0.3, 0.2), walker_counts=(1, 4),
+            observable=local_cost_observable(4),
+        )
+        rows_seen = count_kernel_rows(monkeypatch)
+        surrogate_gradient_variance_scan(config, SeededRng(0))
+        surrogate_rows = len(config.sigma_values) * sum(config.walker_counts)
+        assert rows_seen["n"] == config.num_inits * (2 + surrogate_rows)
+        rows_seen["n"] = 0
+        template = build_rpqc(4, 5, structure_seed=1)
+        analytical_gradient_variance(template, None, 9, SeededRng(0))
+        assert rows_seen["n"] == 2 * 9
+
+    def test_scan_leaves_the_cached_streams_unused(self, monkeypatch):
+        # each initialization draws from a child the parent does not keep, so a later
+        # stream(i) lookup starts child i from its first draw and replays init i's theta
+        thetas = []
+        original = qnes.gradients.parameter_shift_expectation_gradient
+
+        def recording(template, params, *args, **kwargs):
+            thetas.append(np.array(params))
+            return original(template, params, *args, **kwargs)
+
+        monkeypatch.setattr(qnes.gradients, "parameter_shift_expectation_gradient", recording)
+        config = VarianceScanConfig(
+            num_qubits=3, num_layers=2, structure_seed=3, num_inits=4,
+            sigma_values=(0.3,), walker_counts=(2,), observable=local_cost_observable(3),
+        )
+        rng = SeededRng(5)
+        surrogate_gradient_variance_scan(config, rng)
+        p = thetas[0].size
+        assert np.array_equal(rng.stream(0).uniform(p, 0, 2 * np.pi), thetas[0])
+        assert np.array_equal(rng.stream(3).uniform(p, 0, 2 * np.pi), thetas[3])
+        thetas.clear()
+        rng = SeededRng(6)
+        analytical_gradient_variance(build_rpqc(3, 2, 3), None, 3, rng)
+        assert np.array_equal(rng.stream(1).uniform(p, 0, 2 * np.pi), thetas[1])
 
 
 class TestHybridOptimize:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -306,13 +308,31 @@ class TestCli:
           "--override", "gradient_descent.learning_rate=0.1"], "[optimizer] kind"),
         (["--override", "experiment.kind=compare_gd", "--override", "optimizer.kind=gd",
           "--override", "gradient_descent.learning_rate=0.1"], "[optimizer] kind"),
+        # 3 qubits x 2 layers: rpqc has 6 parameters, alpqc 2 * (3 - 1) * 2 = 8
+        (["--override", "experiment.kind=batch", "--override", "batch.size=7"], "[batch] size"),
+        (["--override", "experiment.kind=batch", "--override", "batch.strategy=layer_block",
+          "--override", "ansatz.family=alpqc", "--override", "batch.size=9"], "[batch] size"),
     ], ids=["random-no-size", "layer-block-no-size", "qubit-block-size-0", "config-seed",
             "cli-seed", "rpqc-1-qubit", "alpqc-2-qubits", "0-layers", "hybrid-xnes",
-            "compare-gd-gd"])
+            "compare-gd-gd", "rpqc-size-above-params", "alpqc-size-above-params"])
     def test_rejected_at_load_before_output(self, tmp_path, capsys, args, key):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         assert main(["run", str(path), *args]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_batch_size_up_to_parameter_count_accepted(self, tmp_path):
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
+        for family, size in (("rpqc", "6"), ("alpqc", "8")):
+            config = load_config(path, overrides={"experiment.kind": "batch",
+                                                  "ansatz.family": family, "batch.size": size})
+            assert config.batch_size == config.ansatz.build().num_params
+
+    def test_preset_batch_size_above_parameter_count(self, tmp_path, capsys):
+        preset = Path(__file__).resolve().parents[1] / "configs" / "batch_q10_l50_snes.ini"
+        assert main(["run", str(preset), "--override", "batch.size=501",
+                     "--override", f"experiment.out={tmp_path / 'o'}"]) == 2
+        assert "[batch] size must be in [1, 500]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind, trace_name", [

@@ -36,6 +36,12 @@ class TestSeededRng:
         assert np.array_equal(replay.stream(2).normal(4), first)
         assert np.array_equal(replay.stream(2).normal(4), second)
 
+    def test_spawned_child_replays_stream_without_caching(self):
+        rng = SeededRng(3)
+        spawned = rng.spawn(2).normal(4)
+        assert np.array_equal(rng.spawn(2).normal(4), spawned)  # restarts every time
+        assert np.array_equal(rng.stream(2).normal(4), spawned)  # cached child untouched
+
     def test_child_streams_independent_of_sibling_order(self):
         rng = SeededRng(3)
         a_first = rng.stream(0).normal(4)
