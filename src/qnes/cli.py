@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import ConfigError, load_config, run_experiment, summarize
+from .harness import ConfigError, load_config, run_experiment, summarize, write_summary_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,9 +63,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
-    lines = ["# qnes-summary v1", "iteration,loss_mean,loss_min,loss_max"]
-    lines += [f"{it},{mean!r},{lo!r},{hi!r}" for it, mean, lo, hi in rows]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_summary_csv(Path(args.out), rows)
     print(f"wrote {args.out}")
     return 0
 

@@ -93,15 +93,24 @@ def _parse_angle_token(token: str) -> float:
     return float(token)
 
 
-def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+def parse_config_text(text: str, base_dir: Path | None = None,
+                      overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """Parse and validate a config; `overrides` maps ``section.key`` to a value, `%` is literal."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    for dotted, value in (overrides or {}).items():
+        if "." not in dotted:
+            raise ConfigError(f"override key must look like section.key, got {dotted!r}")
+        section, key = dotted.split(".", 1)
+        parser.read_dict({section: {key: value.strip()}})
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
+    read = set()
 
     def get(section, key, default=None, cast=str):
+        read.add((section, key))
         value = parser.get(section, key).strip() if parser.has_option(section, key) else default
         if value is None:
             return None
@@ -160,6 +169,10 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
         hybrid_snapshot_interval=get("hybrid", "snapshot_interval", "0", int),
     )
     ham = get("vqe", "hamiltonian")
+    unknown = [f"[{s}] {k}" for s in parser.sections() for k in parser.options(s)
+               if (s, k) not in read]
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)}")
     if ham is not None:
         if ham.startswith("bundled:"):
             config.hamiltonian_path = bundled_hamiltonian_path(ham.split(":", 1)[1])
@@ -222,69 +235,44 @@ def _validate(config: ExperimentConfig) -> None:
 
 def load_config(path, overrides: dict[str, str] | None = None, seeds=None,
                 out_dir=None) -> ExperimentConfig:
+    """`seeds` overrides ``experiment.seeds``; `out_dir` replaces the output directory as given."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    if overrides:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"config parse error: {exc}") from exc
-        for dotted, value in overrides.items():
-            if "." not in dotted:
-                raise ConfigError(f"override key must look like section.key, got {dotted!r}")
-            section, key = dotted.split(".", 1)
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser.set(section, key, value)
-        lines = []
-        for section in parser.sections():
-            lines.append(f"[{section}]")
-            lines.extend(f"{k} = {v}" for k, v in parser.items(section))
-        text = "\n".join(lines)
-    config = parse_config_text(text, base_dir=path.parent)
+    overrides = dict(overrides or {})
     if seeds is not None:
-        config.seeds = tuple(int(s) for s in seeds)
-        config.echo["experiment.seeds"] = " ".join(str(s) for s in config.seeds)
+        overrides["experiment.seeds"] = " ".join(str(int(s)) for s in seeds)
+    config = parse_config_text(path.read_text(encoding="utf-8"), path.parent, overrides)
     if out_dir is not None:
         config.out_dir = Path(out_dir)
         config.echo["experiment.out"] = str(out_dir)
-    _validate(config)
     return config
 
 
-def _header_lines(kind: str, config: ExperimentConfig, seed: int | None = None,
-                  extra: dict | None = None) -> list[str]:
-    lines = [
-        f"# qnes-{kind} v1",
-        f"# config: {json.dumps(config.echo, sort_keys=True)}",
-    ]
-    if seed is not None:
-        lines.append(f"# seed: {seed}")
-    lines.append(f"# version: {__version__}")
-    for key, value in (extra or {}).items():
-        lines.append(f"# {key}: {value}")
-    return lines
+def _write_csv(path: Path, kind: str, schema: str, rows, config: ExperimentConfig | None = None,
+               seed: int | None = None, extra: dict | None = None) -> None:
+    """Rows of Python ints and floats; a config adds its echo, seed, version and `extra`."""
+    lines = [f"# qnes-{kind} v1"]
+    if config is not None:
+        lines.append(f"# config: {json.dumps(config.echo, sort_keys=True)}")
+        if seed is not None:
+            lines.append(f"# seed: {seed}")
+        lines.append(f"# version: {__version__}")
+        lines.extend(f"# {key}: {value}" for key, value in (extra or {}).items())
+    lines.append(schema)
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_trace_csv(path: Path, trace: RunTrace, config: ExperimentConfig, seed: int,
                     extra: dict | None = None) -> None:
-    lines = _header_lines("trace", config, seed, extra)
-    lines.append(TRACE_SCHEMA)
-    for it, evals, loss, spread, cursor in trace.rows():
-        lines.append(f"{it},{evals},{loss!r},{spread!r},{cursor}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, "trace", TRACE_SCHEMA, trace.rows(), config, seed, extra)
 
 
 def write_snapshot_csv(path: Path, trace: RunTrace, config: ExperimentConfig, seed: int) -> None:
-    lines = _header_lines("gradient-snapshots", config, seed)
-    lines.append(SNAPSHOT_SCHEMA)
-    for snap in trace.gradient_snapshots:
-        for j, g in enumerate(snap.components):
-            lines.append(f"{snap.iteration},{j},{float(g)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(snap.iteration, j, float(g))
+            for snap in trace.gradient_snapshots for j, g in enumerate(snap.components)]
+    _write_csv(path, "gradient-snapshots", SNAPSHOT_SCHEMA, rows, config, seed)
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
@@ -306,10 +294,18 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     }
 
 
+def _summary_rows(iterations, losses) -> list[tuple[int, float, float, float]]:
+    """(iteration, mean, min, max) of each column of `losses` (one row per seed)."""
+    columns = np.asarray(losses).T
+    return [(int(it), float(np.mean(vals)), float(np.min(vals)), float(np.max(vals)))
+            for it, vals in zip(iterations, columns)]
+
+
 def summarize(trace_paths) -> list[tuple[int, float, float, float]]:
     """Per-iteration mean/min/max of the loss across trace files.
 
-    All traces must share an identical iteration grid.
+    All traces must share an identical iteration grid. Given a run's traces in
+    its seed order, the rows equal those of the run's own summary.csv.
     """
     traces = [read_trace_csv(p) for p in trace_paths]
     if not traces:
@@ -318,28 +314,12 @@ def summarize(trace_paths) -> list[tuple[int, float, float, float]]:
     for t in traces[1:]:
         if not np.array_equal(t["iteration"], grid):
             raise ValueError("traces have mismatched iteration grids")
-    losses = np.stack([t["loss"] for t in traces])
-    return [
-        (int(it), float(m), float(lo), float(hi))
-        for it, m, lo, hi in zip(grid, losses.mean(axis=0), losses.min(axis=0), losses.max(axis=0))
-    ]
+    return _summary_rows(grid, [t["loss"] for t in traces])
 
 
-def write_summary_csv(path: Path, rows, config: ExperimentConfig,
+def write_summary_csv(path: Path, rows, config: ExperimentConfig | None = None,
                       extra: dict | None = None) -> None:
-    lines = _header_lines("summary", config, None, extra)
-    lines.append(SUMMARY_SCHEMA)
-    for it, mean, lo, hi in rows:
-        lines.append(f"{it},{mean!r},{lo!r},{hi!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _truncate_to_common_grid(traces: list[RunTrace]) -> None:
-    # early stopping can desynchronize seeds; summaries use the shared prefix
-    shortest = min(len(t) for t in traces)
-    for t in traces:
-        del t.iterations[shortest:], t.evaluations[shortest:], t.losses[shortest:]
-        del t.spreads[shortest:], t.batch_cursors[shortest:]
+    _write_csv(path, "summary", SUMMARY_SCHEMA, rows, config, None, extra)
 
 
 def _nes_config(config: ExperimentConfig) -> NesConfig:
@@ -399,14 +379,6 @@ def _run_nes(config: ExperimentConfig, template, fitness, fitness_batch, seed: i
     return trace
 
 
-def _run_gd(config: ExperimentConfig, template, loss_fn, grad_fn, seed: int) -> RunTrace:
-    rng = SeededRng(seed)
-    x0 = rng.uniform(template.num_params, 0.0, 2.0 * np.pi)
-    trace = RunTrace()
-    gradient_descent(loss_fn, grad_fn, x0, _gd_config(config), trace)
-    return trace
-
-
 def _run_hybrid(config: ExperimentConfig, template, observable, seed: int) -> RunTrace:
     _, trace = hybrid_optimize(
         template, config.hybrid_warmup, _nes_config(config), _gd_config(config),
@@ -417,29 +389,22 @@ def _run_hybrid(config: ExperimentConfig, template, observable, seed: int) -> Ru
     return trace
 
 
-def _run_seeds(config: ExperimentConfig, runner, suffix: str,
-               extra: dict) -> dict[int, RunTrace]:
+def _run_seeds(config: ExperimentConfig, runner, suffix: str, extra: dict) -> list[RunTrace]:
     # traces are written as each seed finishes, so a runtime failure mid-way
     # leaves the completed seeds' files on disk
-    traces = {}
+    traces = []
     for seed in config.seeds:
-        traces[seed] = runner(seed)
+        traces.append(runner(seed))
         write_trace_csv(config.out_dir / f"trace_seed{seed}{suffix}.csv",
-                        traces[seed], config, seed, extra)
+                        traces[-1], config, seed, extra)
     return traces
 
 
-def _emit_summary(config: ExperimentConfig, traces: dict[int, RunTrace], suffix: str,
+def _emit_summary(config: ExperimentConfig, traces: list[RunTrace], suffix: str,
                   extra: dict) -> None:
-    pool = list(traces.values())
-    _truncate_to_common_grid(pool)
-    rows = [
-        (it, float(np.mean(vals)), float(np.min(vals)), float(np.max(vals)))
-        for it, vals in zip(
-            pool[0].iterations,
-            np.stack([t.losses for t in pool]).T,
-        )
-    ]
+    # early stopping can desynchronize seeds; summaries use the shared prefix
+    shortest = min(map(len, traces))
+    rows = _summary_rows(traces[0].iterations[:shortest], [t.losses[:shortest] for t in traces])
     write_summary_csv(config.out_dir / f"summary{suffix}.csv", rows, config, extra)
 
 
@@ -458,7 +423,8 @@ def run_experiment(config: ExperimentConfig) -> None:
         return _run_nes(config, template, fitness, fitness_batch, seed)
 
     def gd(seed):
-        return _run_gd(config, template, fitness, grad_fn, seed)
+        x0 = SeededRng(seed).uniform(template.num_params, 0.0, 2.0 * np.pi)
+        return gradient_descent(fitness, grad_fn, x0, _gd_config(config))[1]
 
     if config.experiment == "compare_gd":
         runners = {"_nes": nes, "_gd": gd}
@@ -483,10 +449,7 @@ def _run_variance_scan(config: ExperimentConfig) -> None:
         walker_counts=config.scan_walker_counts,
         observable=local_cost_observable(ansatz.num_qubits),
     )
-    rows = surrogate_gradient_variance_scan(scan, SeededRng(config.seeds[0]))
-    lines = _header_lines("variance-scan", config, config.seeds[0])
-    lines.append(SCAN_SCHEMA)
-    for row in rows:
-        lines.append(f"{row.sigma_init!r},{row.walkers},"
-                     f"{row.variance_surrogate!r},{row.variance_exact!r}")
-    (config.out_dir / "variance_scan.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(row.sigma_init, row.walkers, row.variance_surrogate, row.variance_exact)
+            for row in surrogate_gradient_variance_scan(scan, SeededRng(config.seeds[0]))]
+    _write_csv(config.out_dir / "variance_scan.csv", "variance-scan", SCAN_SCHEMA, rows,
+               config, config.seeds[0])

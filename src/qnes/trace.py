@@ -24,7 +24,6 @@ class RunTrace:
     evaluation counts are strictly increasing.
     """
 
-    header: dict = field(default_factory=dict)
     iterations: list[int] = field(default_factory=list)
     evaluations: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,42 @@ class TestConfigParsing:
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="runs/x"))
         with pytest.raises(ConfigError, match="section.key"):
             load_config(path, overrides={"walkers": "9"})
+
+    def test_unknown_key_in_file_rejected(self, tmp_path):
+        text = STATEPREP_CONFIG.format(out="runs/x") + "[hybrid]\nwarm_up = 3\n"
+        with pytest.raises(ConfigError, match=r"unknown config key \[hybrid\] warm_up"):
+            parse_config_text(text, base_dir=tmp_path)
+
+    def test_percent_in_file_is_literal(self, tmp_path):
+        config = parse_config_text(STATEPREP_CONFIG.format(out="runs/50%x"), base_dir=tmp_path)
+        assert config.out_dir == tmp_path / "runs" / "50%x"
+        assert config.echo["experiment.out"] == "runs/50%x"
+
+    def test_one_parse_and_one_validation_per_load(self, tmp_path, monkeypatch):
+        import qnes.harness as harness_module
+
+        counts = {"parser": 0, "validate": 0}
+
+        class CountingParser(harness_module.configparser.ConfigParser):
+            def __init__(self, *args, **kwargs):
+                counts["parser"] += 1
+                super().__init__(*args, **kwargs)
+
+        original = harness_module._validate
+
+        def counting_validate(config):
+            counts["validate"] += 1
+            original(config)
+
+        monkeypatch.setattr(harness_module.configparser, "ConfigParser", CountingParser)
+        monkeypatch.setattr(harness_module, "_validate", counting_validate)
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="runs/x"))
+        config = load_config(path, overrides={"optimizer.walkers": "9"}, seeds=[4, 2],
+                             out_dir=tmp_path / "o")
+        assert counts == {"parser": 1, "validate": 1}
+        assert (config.walkers, config.seeds, config.out_dir) == (9, (4, 2), tmp_path / "o")
+        assert config.echo["experiment.seeds"] == "4 2"
+        assert config.echo["experiment.out"] == str(tmp_path / "o")
 
 
 class TestRunExperiment:
@@ -312,9 +349,13 @@ class TestCli:
         (["--override", "experiment.kind=batch", "--override", "batch.size=7"], "[batch] size"),
         (["--override", "experiment.kind=batch", "--override", "batch.strategy=layer_block",
           "--override", "ansatz.family=alpqc", "--override", "batch.size=9"], "[batch] size"),
+        (["--override", "optimizer.walker=8"], "[optimizer] walker"),
+        (["--override", "experiment.max_iteration=3"], "[experiment] max_iteration"),
+        (["--override", "DEFAULT.seeds=3"], "[ansatz] seeds"),
     ], ids=["random-no-size", "layer-block-no-size", "qubit-block-size-0", "config-seed",
             "cli-seed", "rpqc-1-qubit", "alpqc-2-qubits", "0-layers", "hybrid-xnes",
-            "compare-gd-gd", "rpqc-size-above-params", "alpqc-size-above-params"])
+            "compare-gd-gd", "rpqc-size-above-params", "alpqc-size-above-params",
+            "typo-walker", "typo-max-iteration", "default-section"])
     def test_rejected_at_load_before_output(self, tmp_path, capsys, args, key):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         assert main(["run", str(path), *args]) == 2
@@ -366,6 +407,31 @@ class TestCli:
         out = tmp_path / "summary.csv"
         assert main(["summarize", str(a), "--out", str(out)]) == 0
         assert "0,0.25,0.25,0.25" in out.read_text()
+
+    def test_percent_in_override_is_literal(self, tmp_path, capsys):
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
+        out = tmp_path / "runs" / "50%"
+        assert main(["run", str(path), "--override", f"experiment.out={out}"]) == 0
+        header = (out / "trace_seed0.csv").read_text().splitlines()[1]
+        assert json.loads(header.removeprefix("# config: "))["experiment.out"] == str(out)
+
+    def test_summarize_reproduces_run_summary(self, tmp_path, capsys):
+        # with 8 or more seeds numpy's pairwise sum of a column differs from a row-wise mean
+        preset = Path(__file__).resolve().parents[1] / "configs" / "stateprep_q5_l10_snes.ini"
+        out = tmp_path / "run"
+        assert main(["run", str(preset), "--out", str(out),
+                     "--override", "experiment.max_iterations=30"]) == 0
+        seeds = load_config(preset).seeds
+        assert len(seeds) >= 8
+        traces = [str(out / f"trace_seed{seed}.csv") for seed in seeds]
+        assert main(["summarize", *traces, "--out", str(tmp_path / "s.csv")]) == 0
+
+        def data_rows(path):
+            return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        rows = data_rows(out / "summary.csv")
+        assert len(rows) == 32
+        assert data_rows(tmp_path / "s.csv") == rows
 
     def test_summarize_failure_exit_three(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
