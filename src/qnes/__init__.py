@@ -30,7 +30,6 @@ from .hamiltonian import (
     exact_ground_energy,
     load_pauli_file,
     parse_pauli_file,
-    serialize_pauli_sum,
     vqe_fitness,
 )
 from .nes import (

@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override one config value (repeatable)")
 
     summ = sub.add_parser("summarize", help="mean/min/max across trace CSVs")
-    summ.add_argument("traces", nargs="+", help="trace CSV files with identical grids")
+    summ.add_argument("traces", nargs="+", help="trace CSV files; rows stop at the shortest")
     summ.add_argument("--out", required=True, help="summary CSV output path")
     return parser
 

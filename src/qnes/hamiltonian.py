@@ -19,17 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .simulator import PauliSum, pauli_expectation, pauli_expectation_batch, run_circuit, run_circuit_batch
+from .simulator import (PauliSum, _pauli_action, pauli_expectation, pauli_expectation_batch,
+                        run_circuit, run_circuit_batch)
 
 MAX_DENSE_QUBITS = 12
 
 _PAULI_TOKEN = re.compile(r"^([A-Za-z])(\d+)$")
-
-_PAULI_MATRICES = {
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 def parse_pauli_file(text: str) -> PauliSum:
@@ -85,34 +80,28 @@ def load_pauli_file(path) -> PauliSum:
     return parse_pauli_file(Path(path).read_text(encoding="utf-8"))
 
 
-def serialize_pauli_sum(h: PauliSum) -> str:
-    """Inverse of parse_pauli_file; coefficients keep full precision."""
-    lines = [f"qubits {h.num_qubits}"]
-    for coeff, paulis in h.terms:
-        factors = " ".join(f"{p}{q}" for q, p in paulis) if paulis else "I"
-        lines.append(f"{coeff!r} {factors}")
-    return "\n".join(lines) + "\n"
-
-
 def dense_matrix(h: PauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of the Pauli sum (qubit 0 = least significant bit)."""
+    """Dense Hermitian matrix of the Pauli sum (qubit 0 = least significant bit).
+
+    Row i of a Pauli string P holds phase[i] at column perm[i], since P|psi> = phase * psi[perm].
+    """
     if h.num_qubits > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix limited to {MAX_DENSE_QUBITS} qubits, got {h.num_qubits}")
-    dim = 1 << h.num_qubits
-    total = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(2, dtype=complex)
+    rows = np.arange(1 << h.num_qubits)
+    total = np.zeros((rows.size, rows.size), dtype=complex)
     for coeff, paulis in h.terms:
-        factors = dict(paulis)
-        term = np.array([[1.0]], dtype=complex)
-        for q in range(h.num_qubits):
-            term = np.kron(_PAULI_MATRICES[factors[q]] if q in factors else eye, term)
-        total += coeff * term
+        perm, phase = _pauli_action(h.num_qubits, paulis)
+        total[rows, rows if perm is None else perm] += coeff if phase is None else coeff * phase
     return total
 
 
 def exact_ground_energy(h: PauliSum) -> float:
-    """Minimum eigenvalue of the dense Hermitian matrix (feasible up to 12 qubits)."""
-    return float(np.linalg.eigvalsh(dense_matrix(h))[0])
+    """Minimum eigenvalue of the dense Hermitian matrix (feasible up to 12 qubits).
+
+    Real symmetric, and diagonalized as such, when every term has an even number of Y factors.
+    """
+    m = dense_matrix(h)
+    return float(np.linalg.eigvalsh(m.real if not m.imag.any() else m)[0])
 
 
 def vqe_fitness(template, params: np.ndarray, h: PauliSum) -> float:

@@ -44,6 +44,7 @@ from .nes import (
     optimize,
 )
 from .numerics import SeededRng
+from .simulator import PauliSum
 from .trace import RunTrace
 
 EXPERIMENT_KINDS = ("stateprep", "vqe", "variance_scan", "batch", "hybrid", "compare_gd")
@@ -82,6 +83,7 @@ class ExperimentConfig:
     hybrid_warmup: int = 5
     hybrid_snapshot_interval: int = 0
     hamiltonian_path: Path | None = None
+    hamiltonian: PauliSum | None = None
     echo: dict = field(default_factory=dict)
 
 
@@ -185,6 +187,14 @@ def parse_config_text(text: str, base_dir: Path | None = None,
         for key, value in parser.items(section)
     }
     _validate(config)
+    if config.hamiltonian_path is not None:
+        try:
+            config.hamiltonian = load_pauli_file(config.hamiltonian_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"[vqe] hamiltonian {config.hamiltonian_path}: {exc}") from exc
+        if config.hamiltonian.num_qubits > ansatz.num_qubits:
+            raise ConfigError(f"[vqe] hamiltonian acts on {config.hamiltonian.num_qubits} qubits, "
+                              f"more than [ansatz] qubits = {ansatz.num_qubits}")
     return config
 
 
@@ -207,7 +217,7 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(f"[vqe] hamiltonian is set, but kind = {config.experiment} "
                               "does not minimize an energy; use kind = vqe")
         if not config.hamiltonian_path.exists():
-            raise ConfigError(f"hamiltonian file not found: {config.hamiltonian_path}")
+            raise ConfigError(f"[vqe] hamiltonian file not found: {config.hamiltonian_path}")
     elif config.experiment == "vqe":
         raise ConfigError("[vqe] hamiltonian is required for the vqe experiment")
     if config.experiment == "batch":
@@ -294,27 +304,30 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     }
 
 
-def _summary_rows(iterations, losses) -> list[tuple[int, float, float, float]]:
-    """(iteration, mean, min, max) of each column of `losses` (one row per seed)."""
-    columns = np.asarray(losses).T
+def _summary_rows(grids, losses) -> list[tuple[int, float, float, float]]:
+    """(iteration, mean, min, max) across runs over the iterations every run reached.
+
+    Early stopping can desynchronize runs, so the rows cover the shortest run;
+    the runs' iteration grids must agree on it.
+    """
+    shortest = min(map(len, grids))
+    grid = grids[0][:shortest]
+    if any(not np.array_equal(g[:shortest], grid) for g in grids):
+        raise ValueError("traces have mismatched iteration grids")
+    columns = np.asarray([run[:shortest] for run in losses]).T
     return [(int(it), float(np.mean(vals)), float(np.min(vals)), float(np.max(vals)))
-            for it, vals in zip(iterations, columns)]
+            for it, vals in zip(grid, columns)]
 
 
 def summarize(trace_paths) -> list[tuple[int, float, float, float]]:
-    """Per-iteration mean/min/max of the loss across trace files.
+    """Per-iteration mean/min/max of the loss across trace files, by the summary.csv rule.
 
-    All traces must share an identical iteration grid. Given a run's traces in
-    its seed order, the rows equal those of the run's own summary.csv.
+    Given a run's traces in its seed order, the rows equal those of the run's own summary.csv.
     """
     traces = [read_trace_csv(p) for p in trace_paths]
     if not traces:
         raise ValueError("summarize needs at least one trace")
-    grid = traces[0]["iteration"]
-    for t in traces[1:]:
-        if not np.array_equal(t["iteration"], grid):
-            raise ValueError("traces have mismatched iteration grids")
-    return _summary_rows(grid, [t["loss"] for t in traces])
+    return _summary_rows([t["iteration"] for t in traces], [t["loss"] for t in traces])
 
 
 def write_summary_csv(path: Path, rows, config: ExperimentConfig | None = None,
@@ -351,9 +364,9 @@ def _problem(config: ExperimentConfig, template):
 
     The energy of the [vqe] Hamiltonian when one is set, state preparation otherwise.
     """
-    if config.hamiltonian_path is None:
+    h = config.hamiltonian
+    if h is None:
         return (*loss_functions(template), None, {})
-    h = load_pauli_file(config.hamiltonian_path)
     extra = {}
     if h.num_qubits <= MAX_DENSE_QUBITS:
         reference = exact_ground_energy(h)
@@ -402,9 +415,7 @@ def _run_seeds(config: ExperimentConfig, runner, suffix: str, extra: dict) -> li
 
 def _emit_summary(config: ExperimentConfig, traces: list[RunTrace], suffix: str,
                   extra: dict) -> None:
-    # early stopping can desynchronize seeds; summaries use the shared prefix
-    shortest = min(map(len, traces))
-    rows = _summary_rows(traces[0].iterations[:shortest], [t.losses[:shortest] for t in traces])
+    rows = _summary_rows([t.iterations for t in traces], [t.losses for t in traces])
     write_summary_csv(config.out_dir / f"summary{suffix}.csv", rows, config, extra)
 
 

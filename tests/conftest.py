@@ -38,6 +38,21 @@ def embed_single_qubit(matrix, qubit, num_qubits):
     return full
 
 
+PAULI_MATRICES = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def dense_pauli_string(paulis, num_qubits):
+    """Dense matrix of one Pauli string from Kronecker-embedded single-qubit factors."""
+    dense = np.eye(2**num_qubits, dtype=complex)
+    for q, p in paulis:
+        dense = embed_single_qubit(PAULI_MATRICES[p], q, num_qubits) @ dense
+    return dense
+
+
 def cz_dense(q_a, q_b, num_qubits):
     dim = 2**num_qubits
     idx = np.arange(dim)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_template
+from conftest import dense_pauli_string, random_template
 
 from qnes.ansatz import template_from_gates
 from qnes.hamiltonian import (
@@ -10,7 +10,6 @@ from qnes.hamiltonian import (
     exact_ground_energy,
     load_pauli_file,
     parse_pauli_file,
-    serialize_pauli_sum,
     vqe_fitness,
     vqe_fitness_batch,
 )
@@ -61,11 +60,60 @@ class TestParsePauliFile:
         with pytest.raises(ValueError, match="no Pauli factors"):
             parse_pauli_file("qubits 1\n1.0\n")
 
-    def test_round_trip_preserves_term_multiset(self):
-        text = "qubits 3\n0.1 Z0\n0.1 Z0\n-0.987654321012345e-2 X1 Y2\n2.0 I\n"
-        h = parse_pauli_file(text)
-        again = parse_pauli_file(serialize_pauli_sum(h))
-        assert again == h
+
+def random_pauli_sum(gen, num_qubits):
+    """1 to 6 random terms on random supports (the identity included) with X, Y and Z factors."""
+    terms = []
+    for _ in range(gen.integers(1, 7)):
+        support = gen.permutation(num_qubits)[: gen.integers(0, num_qubits + 1)]
+        factors = tuple(sorted((int(q), "XYZ"[gen.integers(3)]) for q in support))
+        terms.append((float(gen.normal()), factors))
+    return PauliSum(num_qubits=num_qubits, terms=tuple(terms))
+
+
+def kronecker_sum(h):
+    """The referee: sum of coefficient times Kronecker-built Pauli string, term by term."""
+    total = np.zeros((2**h.num_qubits, 2**h.num_qubits), dtype=complex)
+    for coeff, paulis in h.terms:
+        total += coeff * dense_pauli_string(paulis, h.num_qubits)
+    return total
+
+
+def has_odd_y_term(h):
+    return any(sum(p == "Y" for _, p in paulis) % 2 for _, paulis in h.terms)
+
+
+class TestDenseMatrix:
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_bit_identical_to_kronecker_sum(self, num_qubits):
+        gen = np.random.default_rng(num_qubits)
+        sums = [random_pauli_sum(gen, num_qubits) for _ in range(40)]
+        assert any(map(has_odd_y_term, sums))
+        for h in sums:
+            assert np.array_equal(dense_matrix(h), kronecker_sum(h))
+
+    def test_even_y_sums_are_real(self):
+        gen = np.random.default_rng(11)
+        for num_qubits in range(1, 7):
+            for _ in range(10):
+                h = random_pauli_sum(gen, num_qubits)
+                assert dense_matrix(h).imag.any() == has_odd_y_term(h)
+
+    def test_ground_energy_matches_kronecker_on_real_sums(self):
+        gen = np.random.default_rng(5)
+        real = [h for h in (random_pauli_sum(gen, q) for q in range(1, 7) for _ in range(20))
+                if not has_odd_y_term(h)]
+        real.append(PauliSum.build(2, [(0.7, {0: "Y", 1: "Y"}), (-0.3, {0: "X"})]))
+        assert len(real) > 10
+        for h in real:
+            expected = np.linalg.eigvalsh(kronecker_sum(h))[0]
+            assert abs(exact_ground_energy(h) - expected) <= 1e-12
+
+    def test_ground_energy_matches_kronecker_on_complex_sum(self):
+        h = PauliSum.build(3, [(0.4, {0: "Y", 2: "X"}), (-0.2, {1: "Z"})])
+        assert dense_matrix(h).imag.any()
+        expected = np.linalg.eigvalsh(kronecker_sum(h))[0]
+        assert abs(exact_ground_energy(h) - expected) <= 1e-12
 
 
 class TestExactGroundEnergy:

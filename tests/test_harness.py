@@ -43,9 +43,9 @@ def write_config(tmp_path, text, name="config.ini"):
     return path
 
 
-def constant_trace_csv(path, losses):
+def constant_trace_csv(path, losses, iterations=None):
     lines = ["# qnes-trace v1", "iteration,evaluations,loss,spread_max,batch_cursor"]
-    for it, loss in enumerate(losses):
+    for it, loss in zip(iterations or range(len(losses)), losses):
         lines.append(f"{it},{it * 4},{loss!r},0.1,0")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -286,10 +286,18 @@ class TestSummarize:
         with pytest.raises(ValueError, match="at least one"):
             summarize([])
 
-    def test_mismatched_grids_rejected(self, tmp_path):
+    def test_unequal_lengths_use_common_prefix(self, tmp_path):
+        # the summary.csv rule: a seed that stopped early bounds the rows
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         constant_trace_csv(a, [0.2, 0.2])
         constant_trace_csv(b, [0.4, 0.4, 0.4])
+        assert summarize([b, a]) == [(0, pytest.approx(0.3), 0.2, 0.4),
+                                     (1, pytest.approx(0.3), 0.2, 0.4)]
+
+    def test_mismatched_grids_rejected(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        constant_trace_csv(a, [0.2, 0.2])
+        constant_trace_csv(b, [0.4, 0.4, 0.4], iterations=[0, 2, 3])
         with pytest.raises(ValueError, match="mismatched"):
             summarize([a, b])
 
@@ -352,12 +360,20 @@ class TestCli:
         (["--override", "optimizer.walker=8"], "[optimizer] walker"),
         (["--override", "experiment.max_iteration=3"], "[experiment] max_iteration"),
         (["--override", "DEFAULT.seeds=3"], "[ansatz] seeds"),
+        (["--override", "experiment.kind=vqe", "--override", "vqe.hamiltonian=four_qubits.txt"],
+         "[vqe] hamiltonian"),
+        (["--override", "experiment.kind=vqe", "--override", "vqe.hamiltonian=bad_factor.txt"],
+         "[vqe] hamiltonian"),
     ], ids=["random-no-size", "layer-block-no-size", "qubit-block-size-0", "config-seed",
             "cli-seed", "rpqc-1-qubit", "alpqc-2-qubits", "0-layers", "hybrid-xnes",
             "compare-gd-gd", "rpqc-size-above-params", "alpqc-size-above-params",
-            "typo-walker", "typo-max-iteration", "default-section"])
+            "typo-walker", "typo-max-iteration", "default-section",
+            "hamiltonian-wider-than-ansatz", "hamiltonian-parse-error"])
     def test_rejected_at_load_before_output(self, tmp_path, capsys, args, key):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
+        # the config's circuit has 3 qubits
+        write_config(tmp_path, "qubits 4\n1.0 Z0 Z3\n", "four_qubits.txt")
+        write_config(tmp_path, "qubits 3\n1.0 W0\n", "bad_factor.txt")
         assert main(["run", str(path), *args]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -435,6 +451,6 @@ class TestCli:
 
     def test_summarize_failure_exit_three(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        constant_trace_csv(a, [0.2])
-        constant_trace_csv(b, [0.2, 0.2])
+        constant_trace_csv(a, [0.2, 0.2])
+        constant_trace_csv(b, [0.2, 0.2], iterations=[0, 2])
         assert main(["summarize", str(a), str(b), "--out", str(tmp_path / "s.csv")]) == 3

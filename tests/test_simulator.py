@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_unitary, embed_single_qubit, random_template
+from conftest import dense_pauli_string, dense_unitary, random_template
 
 from qnes.ansatz import build_rpqc, template_from_gates
 from qnes.simulator import (
@@ -19,20 +19,6 @@ from qnes.simulator import (
     vacuum_projector_expectation,
     zero_state,
 )
-
-
-PAULI_MATRICES = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]]),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def dense_pauli_string(paulis, num_qubits):
-    dense = np.eye(2**num_qubits, dtype=complex)
-    for q, p in paulis:
-        dense = embed_single_qubit(PAULI_MATRICES[p], q, num_qubits) @ dense
-    return dense
 
 
 def single_slot_template(kind="RY"):
