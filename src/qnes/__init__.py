@@ -13,7 +13,6 @@ from .ansatz import (
     CircuitTemplate,
     build_alpqc,
     build_rpqc,
-    template_from_text,
     template_to_text,
 )
 from .batching import BatchSchedule, PartitionStrategy, batch_optimize, make_partition
@@ -39,10 +38,9 @@ from .nes import (
     SeparableDistribution,
     compute_utilities,
     default_learning_rates,
-    default_population,
     optimize,
 )
-from .numerics import SeededRng, matrix_exponential_symmetric, scale_from_factor
+from .numerics import SeededRng, matrix_exponential_symmetric
 from .simulator import (
     Gate,
     PauliSum,

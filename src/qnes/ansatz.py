@@ -18,8 +18,6 @@ from .simulator import Gate, ROTATION_KINDS
 
 BASIS_ROTATION_ANGLE = np.pi / 4
 
-FAMILIES = ("rpqc", "alpqc", "custom")
-
 # smallest (qubits, layers) each built family accepts
 MIN_SIZE = {"rpqc": (2, 1), "alpqc": (3, 1)}
 
@@ -192,7 +190,10 @@ class AnsatzSpec:
 
 
 def template_to_text(template: CircuitTemplate) -> str:
-    """Line-based provenance format: one gate per line (kind, targets, slot-or-angle)."""
+    """Line-based provenance format: one gate per line (kind, targets, slot-or-angle).
+
+    Runs write it as circuit.txt for the record; nothing reads it back.
+    """
     lines = [
         "# circuit-template v1",
         f"family {template.family}",
@@ -207,38 +208,3 @@ def template_to_text(template: CircuitTemplate) -> str:
         else:
             lines.append(f"gate {g.kind} {g.qubits[0]} angle {g.angle!r}")
     return "\n".join(lines) + "\n"
-
-
-def template_from_text(text: str) -> CircuitTemplate:
-    """Inverse of template_to_text. Per-slot layer metadata is not preserved."""
-    family, num_qubits, num_layers = "custom", None, 0
-    gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        try:
-            if tokens[0] == "family":
-                family = tokens[1]
-            elif tokens[0] == "qubits":
-                num_qubits = int(tokens[1])
-            elif tokens[0] == "layers":
-                num_layers = int(tokens[1])
-            elif tokens[0] == "gate":
-                kind = tokens[1]
-                if kind == "CZ":
-                    gates.append(Gate("CZ", (int(tokens[2]), int(tokens[3]))))
-                elif tokens[3] == "slot":
-                    gates.append(Gate(kind, (int(tokens[2]),), slot=int(tokens[4])))
-                elif tokens[3] == "angle":
-                    gates.append(Gate(kind, (int(tokens[2]),), angle=float(tokens[4])))
-                else:
-                    raise ValueError("expected 'slot' or 'angle'")
-            else:
-                raise ValueError(f"unknown directive {tokens[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: malformed template line {raw!r}") from exc
-    if num_qubits is None:
-        raise ValueError("template text is missing the qubits line")
-    return template_from_gates(num_qubits, gates, num_layers=num_layers, family=family)

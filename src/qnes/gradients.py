@@ -77,10 +77,6 @@ def stateprep_loss_gradient(template, params: np.ndarray) -> np.ndarray:
     return -2.0 * (1.0 - e) * parameter_shift_expectation_gradient(template, params, None)
 
 
-def energy_loss_gradient(template, params: np.ndarray, observable: PauliSum) -> np.ndarray:
-    return parameter_shift_expectation_gradient(template, params, observable)
-
-
 def loss_functions(template, observable: PauliSum | None = None):
     """(loss, batched loss, loss gradient): the energy of observable, or state prep if None."""
     if observable is None:
@@ -89,7 +85,7 @@ def loss_functions(template, observable: PauliSum | None = None):
                 lambda z: stateprep_loss_gradient(template, z))
     return (lambda z: vqe_fitness(template, z, observable),
             lambda rows: vqe_fitness_batch(template, rows, observable),
-            lambda z: energy_loss_gradient(template, z, observable))
+            lambda z: parameter_shift_expectation_gradient(template, z, observable))
 
 
 @dataclass

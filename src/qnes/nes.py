@@ -2,8 +2,7 @@
 
 Three variants, all minimizing a black-box fitness:
 
-- canonical: fixed isotropic width, plain search-gradient step on the mean
-  (optionally preconditioned by the empirical Fisher matrix);
+- canonical: fixed isotropic width, plain search-gradient step on the mean;
 - separable: per-coordinate standard deviations, rank-based utilities,
   multiplicative exponential sigma updates;
 - full: global scale sigma plus a unit-determinant shape matrix B updated in
@@ -22,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import SeededRng, matrix_exponential_symmetric, scale_from_factor
+from .numerics import SeededRng, matrix_exponential_symmetric
 from .trace import RunTrace
 
 __all__ = [
@@ -33,11 +32,8 @@ __all__ = [
     "WalkerBatch",
     "compute_utilities",
     "default_learning_rates",
-    "default_population",
     "sample_walkers",
     "canonical_gradient_estimate",
-    "estimate_fisher",
-    "apply_fisher_inverse",
     "canonical_step",
     "snes_step",
     "xnes_step",
@@ -123,12 +119,6 @@ class FullDistribution:
             raise ValueError("sigma must be positive")
 
     @classmethod
-    def from_factor(cls, mu: np.ndarray, factor: np.ndarray) -> "FullDistribution":
-        """Split a covariance factor A into sigma = |det A|^(1/d) and B = A/sigma."""
-        sigma, shape = scale_from_factor(factor)
-        return cls(mu=mu, sigma=sigma, shape=shape)
-
-    @classmethod
     def isotropic(cls, mu: np.ndarray, sigma: float) -> "FullDistribution":
         mu = np.asarray(mu, dtype=float)
         return cls(mu=mu, sigma=float(sigma), shape=np.eye(mu.size))
@@ -164,7 +154,6 @@ class NesConfig:
     eta_sigma: float | None = None      # separable sigma rate
     eta_scale: float | None = None      # full-variant sigma rate
     eta_shape: float | None = None      # full-variant B rate
-    natural_gradient: bool = False      # canonical variant: precondition by the Fisher matrix
 
     def __post_init__(self):
         if self.population < 1:
@@ -213,13 +202,6 @@ def default_learning_rates(d: int) -> tuple[float, float, float]:
     return 1.0, (9.0 + 3.0 * math.log(d)) / denom, (3.0 + math.log(d)) / denom
 
 
-def default_population(d: int) -> int:
-    """round(4 + 3 ln d): the conventional dimension-based walker count."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return int(round(4 + 3 * math.log(d)))
-
-
 def sample_walkers(dist, k: int, rng: SeededRng) -> WalkerBatch:
     """Draw k walkers, one independent child stream per walker index."""
     if k < 1:
@@ -239,22 +221,6 @@ def canonical_gradient_estimate(batch: WalkerBatch, sigma_init: float) -> np.nda
     return (fits @ batch.samples) / (fits.size * sigma_init)
 
 
-def estimate_fisher(samples: np.ndarray, dist) -> np.ndarray:
-    """Empirical Fisher matrix of the mean block: (1/k) sum_n (s_n/sigma)(s_n/sigma)^T."""
-    sigma = dist.sigma
-    grads = np.asarray(samples, dtype=float) / sigma
-    return grads.T @ grads / grads.shape[0]
-
-
-def apply_fisher_inverse(fisher: np.ndarray, grad: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
-    """Solve F x = grad, adding ridge * I when F is ill-conditioned or singular."""
-    fisher = np.asarray(fisher, dtype=float)
-    eigs = np.linalg.eigvalsh(fisher)
-    if eigs[0] <= ridge * max(1.0, eigs[-1]):
-        fisher = fisher + ridge * np.eye(fisher.shape[0])
-    return np.linalg.solve(fisher, grad)
-
-
 def _rank_order(fitnesses: np.ndarray | None) -> np.ndarray:
     if fitnesses is None:
         raise ValueError("walker fitnesses are not filled")
@@ -270,8 +236,6 @@ def canonical_step(dist: IsotropicDistribution, batch: WalkerBatch,
     """Descend the estimated search gradient; the width stays fixed."""
     cfg = config.resolved(dist.mu.size)
     grad = canonical_gradient_estimate(batch, dist.sigma)
-    if cfg.natural_gradient:
-        grad = apply_fisher_inverse(estimate_fisher(batch.samples, dist), grad)
     return IsotropicDistribution(mu=dist.mu - cfg.eta_mu * grad, sigma=dist.sigma)
 
 

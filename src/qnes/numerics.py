@@ -1,4 +1,4 @@
-"""Deterministic random streams and the small dense-matrix helpers the optimizers need."""
+"""Deterministic random streams and the matrix exponential of the full-covariance strategy."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import numpy as np
 __all__ = [
     "SeededRng",
     "matrix_exponential_symmetric",
-    "scale_from_factor",
 ]
 
 SYMMETRY_TOL = 1e-10
@@ -65,15 +64,6 @@ class SeededRng:
         return self._gen.permutation(n)
 
 
-def _check_square(g: np.ndarray, name: str) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
-        raise ValueError(f"{name} must be a square matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"{name} must have finite entries")
-    return g
-
-
 def matrix_exponential_symmetric(g: np.ndarray) -> np.ndarray:
     """exp(G) for symmetric G via eigendecomposition.
 
@@ -81,22 +71,12 @@ def matrix_exponential_symmetric(g: np.ndarray) -> np.ndarray:
     unit-determinant result, which is what keeps the shape matrix normalized
     across full-covariance updates.
     """
-    g = _check_square(g, "matrix")
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
+        raise ValueError(f"matrix must be a square matrix, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix must have finite entries")
     if np.max(np.abs(g - g.T)) > SYMMETRY_TOL:
         raise ValueError(f"matrix must be symmetric within {SYMMETRY_TOL:g}")
     w, v = np.linalg.eigh(g)
     return (v * np.exp(w)) @ v.T
-
-
-def scale_from_factor(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Split a covariance factor A into (sigma, B) with sigma = |det A|^(1/d), B = A/sigma.
-
-    B then has |det B| = 1, the normalization the full-covariance strategy maintains.
-    """
-    a = _check_square(a, "covariance factor")
-    d = a.shape[0]
-    det = np.linalg.det(a)
-    if abs(det) == 0.0:
-        raise ValueError("degenerate covariance factor: |det A| must be positive")
-    sigma = float(abs(det) ** (1.0 / d))
-    return sigma, a / sigma

@@ -191,19 +191,6 @@ def _evolve(state: np.ndarray, ops, cos_half: np.ndarray, minus_i_sin: np.ndarra
         np.add(buf, tmp, out=state)
 
 
-def apply_gate(state: np.ndarray, gate: Gate, angle=0.0) -> np.ndarray:
-    """Apply one gate in place, returning the state; angle is a scalar or one per row."""
-    nq = num_qubits_of(state)
-    for q in gate.qubits:
-        _check_target(q, nq)
-    theta = np.asarray(gate.angle if gate.angle is not None else angle, dtype=float)
-    if gate.kind != "CZ" and not np.all(np.isfinite(theta)):
-        raise ValueError("rotation angle must be finite")
-    half = 0.5 * theta.reshape(-1, 1)
-    _evolve(_rows(state), [_gate_op(nq, gate, 0)], np.cos(half), -1j * np.sin(half))
-    return state
-
-
 @lru_cache(maxsize=64)
 def _compiled(template) -> tuple:
     """Template resolved to kernel ops (rotation order + slot/fixed angle split)."""
@@ -233,6 +220,8 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected parameter rows of width {template.num_params}, got shape {param_rows.shape}"
         )
+    if not np.isfinite(param_rows).all():
+        raise ValueError("parameter rows must be finite")
     ops, n_rot, slot_pos, slot_idx, fixed_pos, fixed_val = _compiled(template)
     b = param_rows.shape[0]
     angles = np.empty((b, n_rot), dtype=float)
@@ -244,7 +233,7 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
     state = zero_state(template.num_qubits, batch=b)
     _evolve(state, ops, np.cos(half), -1j * np.sin(half))
     drift = np.max(np.abs(norm_squared(state) - 1.0))
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:
         raise RuntimeError(f"statevector norm drifted by {drift:.3e}")
     return state
 

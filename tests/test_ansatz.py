@@ -7,10 +7,9 @@ from qnes.ansatz import (
     build_alpqc,
     build_rpqc,
     template_from_gates,
-    template_from_text,
     template_to_text,
 )
-from qnes.simulator import Gate, run_circuit
+from qnes.simulator import Gate
 
 
 class TestRpqc:
@@ -121,31 +120,38 @@ class TestAnsatzSpec:
 
 
 class TestSerialization:
-    def test_round_trip_structure(self):
-        t = build_rpqc(4, 3, structure_seed=13)
-        back = template_from_text(template_to_text(t))
-        assert back.num_qubits == t.num_qubits
-        assert back.family == t.family
-        assert back.num_layers == t.num_layers
-        assert back.gates == t.gates
-
-    def test_round_trip_simulation(self, rng):
-        t = build_alpqc(4, 2)
-        back = template_from_text(template_to_text(t))
-        params = rng.uniform(t.num_params, 0, 2 * np.pi)
-        assert np.allclose(run_circuit(t, params), run_circuit(back, params), atol=1e-14)
+    """circuit.txt is provenance only, so these pin its exact text."""
 
     def test_text_is_stable(self):
-        t = build_rpqc(3, 1, structure_seed=5)
-        assert template_to_text(t) == template_to_text(t)
+        assert template_to_text(build_rpqc(2, 1, structure_seed=0)) == (
+            "# circuit-template v1\n"
+            "family rpqc\n"
+            "qubits 2\n"
+            "layers 1\n"
+            "gate RY 0 angle 0.7853981633974483\n"
+            "gate RY 1 angle 0.7853981633974483\n"
+            "gate RX 0 slot 0\n"
+            "gate RZ 1 slot 1\n"
+            "gate CZ 0 1\n"
+        )
 
-    def test_malformed_line_reports_number(self):
-        with pytest.raises(ValueError, match="line 2"):
-            template_from_text("qubits 2\ngate RX zero slot 0\n")
-
-    def test_missing_qubits_line(self):
-        with pytest.raises(ValueError, match="qubits"):
-            template_from_text("gate CZ 0 1\n")
+    def test_alpqc_text_shows_angle_repr(self):
+        assert repr(BASIS_ROTATION_ANGLE) == "0.7853981633974483"
+        assert template_to_text(build_alpqc(3, 1)) == (
+            "# circuit-template v1\n"
+            "family alpqc\n"
+            "qubits 3\n"
+            "layers 1\n"
+            "gate RY 0 angle 0.7853981633974483\n"
+            "gate RY 1 angle 0.7853981633974483\n"
+            "gate RY 2 angle 0.7853981633974483\n"
+            "gate RY 0 slot 0\n"
+            "gate RY 1 slot 1\n"
+            "gate CZ 0 1\n"
+            "gate RY 1 slot 2\n"
+            "gate RY 2 slot 3\n"
+            "gate CZ 1 2\n"
+        )
 
 
 class TestTemplateValidation:

@@ -7,7 +7,6 @@ from qnes.gradients import (
     GdConfig,
     VarianceScanConfig,
     analytical_gradient_variance,
-    energy_loss_gradient,
     expectation_values,
     gradient_descent,
     hybrid_optimize,
@@ -82,7 +81,7 @@ class TestParameterShift:
         template = build_rpqc(4, 3, structure_seed=22)
         h = PauliSum.build(4, [(0.8, {0: "Z", 1: "Z"}), (-0.5, {2: "X", 3: "Y"})])
         params = rng.uniform(template.num_params, 0, 2 * np.pi)
-        grad = energy_loss_gradient(template, params, h)
+        grad = parameter_shift_expectation_gradient(template, params, h)
         fd = finite_difference(
             lambda p: expectation_values(template, p[None, :], h)[0], params
         )

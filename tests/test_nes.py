@@ -9,13 +9,10 @@ from qnes.nes import (
     NesConfig,
     SeparableDistribution,
     WalkerBatch,
-    apply_fisher_inverse,
     canonical_gradient_estimate,
     canonical_step,
     compute_utilities,
     default_learning_rates,
-    default_population,
-    estimate_fisher,
     optimize,
     sample_walkers,
     snes_step,
@@ -66,12 +63,6 @@ class TestLearningRates:
     def test_d50(self):
         _, _, eta_sigma = default_learning_rates(50)
         assert abs(eta_sigma - (3 + math.log(50)) / (5 * 50 * math.sqrt(50))) < 1e-15
-
-
-class TestDefaultPopulation:
-    def test_values(self):
-        assert default_population(1) == 4
-        assert default_population(50) == 16
 
 
 class TestSampling:
@@ -155,31 +146,6 @@ class TestCanonicalGradient:
         mean = estimates.mean(axis=0)
         stderr = estimates.std(axis=0, ddof=1) / np.sqrt(n_batches)
         assert np.all(np.abs(mean - a) < 3 * stderr + 1e-12)
-
-
-class TestFisher:
-    def test_many_samples_approach_identity(self):
-        rng = SeededRng(3)
-        samples = rng.normal(100_000 * 3).reshape(100_000, 3)
-        fisher = estimate_fisher(samples, IsotropicDistribution(np.zeros(3), 1.0))
-        assert np.max(np.abs(fisher - np.eye(3))) < 0.03
-
-    def test_single_sample_outer_product(self):
-        samples = np.array([[1.0, 0.0]])
-        fisher = estimate_fisher(samples, IsotropicDistribution(np.zeros(2), 1.0))
-        assert np.allclose(fisher, [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_sigma_scaling(self):
-        samples = np.array([[1.0, 2.0], [0.5, -1.0]])
-        f1 = estimate_fisher(samples, IsotropicDistribution(np.zeros(2), 1.0))
-        f2 = estimate_fisher(samples, IsotropicDistribution(np.zeros(2), 2.0))
-        assert np.allclose(f2, f1 / 4.0)
-
-    def test_ridge_on_singular(self):
-        fisher = np.array([[1.0, 0.0], [0.0, 0.0]])
-        x = apply_fisher_inverse(fisher, np.array([1.0, 1.0]))
-        assert np.all(np.isfinite(x))
-        assert np.isclose(x[0], 1.0, atol=1e-6)
 
 
 class TestSnesStep:
@@ -301,15 +267,6 @@ class TestCanonicalStep:
         new = canonical_step(dist, batch, NesConfig(population=2, eta_mu=0.5))
         assert new.mu[0] < 0.0  # moved against the gradient
         assert new.sigma == dist.sigma
-
-    def test_natural_gradient_option(self):
-        rng = SeededRng(2)
-        dist = IsotropicDistribution(np.zeros(3), 0.5)
-        batch = sample_walkers(dist, 8, rng)
-        batch.fitnesses = batch.points @ np.array([1.0, 0.0, 0.0])
-        plain = canonical_step(dist, batch, NesConfig(population=8, natural_gradient=False))
-        natural = canonical_step(dist, batch, NesConfig(population=8, natural_gradient=True))
-        assert not np.allclose(plain.mu, natural.mu)
 
 
 class TestOptimize:

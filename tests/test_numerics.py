@@ -4,7 +4,6 @@ import pytest
 from qnes.numerics import (
     SeededRng,
     matrix_exponential_symmetric,
-    scale_from_factor,
 )
 
 
@@ -110,26 +109,3 @@ class TestMatrixExponentialSymmetric:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             matrix_exponential_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestScaleFromFactor:
-    def test_isotropic_case(self):
-        sigma, shape = scale_from_factor(0.1 * np.eye(3))
-        assert np.isclose(sigma, 0.1)
-        assert np.allclose(shape, np.eye(3))
-
-    def test_diagonal_case(self):
-        # det = 16, square root = 4
-        sigma, shape = scale_from_factor(np.diag([2.0, 8.0]))
-        assert np.isclose(sigma, 4.0)
-        assert np.allclose(shape, np.diag([0.5, 2.0]))
-
-    def test_unit_determinant(self, rng):
-        for d in (2, 3, 5):
-            a = rng.normal(d * d).reshape(d, d) + 2 * np.eye(d)
-            _, shape = scale_from_factor(a)
-            assert abs(abs(np.linalg.det(shape)) - 1.0) < 1e-10
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            scale_from_factor(np.diag([1.0, 0.0]))

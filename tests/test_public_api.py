@@ -1,0 +1,36 @@
+"""Every exported name resolves, and the names removed from the API stay removed."""
+
+import importlib
+import pkgutil
+from dataclasses import fields
+
+import pytest
+
+import qnes
+from qnes.nes import FullDistribution, NesConfig
+
+MODULES = ["qnes"] + sorted(f"qnes.{m.name}" for m in pkgutil.iter_modules(qnes.__path__))
+
+REMOVED = {
+    "qnes.simulator": ["apply_gate"],
+    "qnes.ansatz": ["template_from_text", "FAMILIES"],
+    "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse"],
+    "qnes.numerics": ["scale_from_factor"],
+    "qnes.gradients": ["energy_loss_gradient"],
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    # a stale __all__ entry, or a stale import in qnes/__init__.py, makes this raise
+    exec(f"from {name} import *", {})
+
+
+def test_removed_names_stay_removed():
+    for name, attrs in REMOVED.items():
+        module = importlib.import_module(name)
+        for attr in attrs:
+            assert not hasattr(module, attr), f"{name}.{attr}"
+            assert not hasattr(qnes, attr), attr
+    assert "natural_gradient" not in {f.name for f in fields(NesConfig)}
+    assert not hasattr(FullDistribution, "from_factor")

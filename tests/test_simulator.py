@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import dense_pauli_string, dense_unitary, random_template
 
 from qnes.ansatz import build_rpqc, template_from_gates
 from qnes.simulator import (
+    GATE_KINDS,
+    ROTATION_KINDS,
     Gate,
     PauliSum,
-    apply_gate,
     apply_pauli_string,
     norm_squared,
     pauli_expectation,
@@ -25,53 +27,99 @@ def single_slot_template(kind="RY"):
     return template_from_gates(1, [Gate(kind, (0,), slot=0)])
 
 
+def flipped(num_qubits, *qubits, then=()):
+    """Fixed RY(pi) on each listed qubit, then the gates in `then`; no parameter slots."""
+    gates = [Gate("RY", (q,), angle=np.pi) for q in qubits] + list(then)
+    return template_from_gates(num_qubits, gates)
+
+
+def assert_rows_match_dense(template, rows):
+    states = run_circuit_batch(template, rows)
+    assert states.shape == (rows.shape[0], 2**template.num_qubits)
+    for row, state in zip(rows, states):
+        assert np.max(np.abs(state - dense_unitary(template, row)[:, 0])) < 1e-10
+
+
 class TestApplyGate:
+    """Single gates run through run_circuit_batch, against hand values and the dense oracle."""
+
     def test_ry_pi_flips_zero_to_one(self):
-        state = apply_gate(zero_state(1), Gate("RY", (0,), slot=0), np.pi)
+        state = run_circuit_batch(single_slot_template(), np.array([[np.pi]]))[0]
         assert np.allclose(state, [0.0, 1.0], atol=1e-12)
 
     def test_cz_flips_sign_of_11(self):
-        state = zero_state(2)
-        apply_gate(state, Gate("RY", (0,), angle=np.pi))
-        apply_gate(state, Gate("RY", (1,), angle=np.pi))
-        apply_gate(state, Gate("CZ", (0, 1)))
+        state = run_circuit(flipped(2, 0, 1, then=[Gate("CZ", (0, 1))]), np.zeros(0))
         expected = np.zeros(4, dtype=complex)
         expected[3] = -1.0
         assert np.allclose(state, expected, atol=1e-12)
 
     def test_rz_is_phase_only_on_zero(self):
         theta = 0.7
-        state = apply_gate(zero_state(1), Gate("RZ", (0,), slot=0), theta)
+        state = run_circuit_batch(single_slot_template("RZ"), np.array([[theta]]))[0]
         assert np.allclose(state, [np.exp(-1j * theta / 2), 0.0], atol=1e-12)
         assert np.isclose(vacuum_projector_expectation(state), 1.0)
 
-    def test_out_of_range_target(self):
-        with pytest.raises(IndexError):
-            apply_gate(zero_state(2), Gate("RX", (2,), slot=0), 0.3)
-
     def test_non_finite_angle_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            apply_gate(zero_state(1), Gate("RX", (0,), slot=0), np.nan)
+        template = build_rpqc(3, 2, 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            rows = np.zeros((2, template.num_params))
+            rows[1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                run_circuit_batch(template, rows)
+            with pytest.raises(ValueError, match="finite"):
+                stateprep_fitness(template, rows[1])
 
     @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "CZ"])
     def test_per_row_angles_match_row_by_row(self, rng, kind):
-        gate = Gate(kind, (1, 3)) if kind == "CZ" else Gate(kind, (2,), slot=0)
-        template = random_template(rng, 4, 12)
+        prefix = random_template(rng, 4, 12)
+        gate = Gate("CZ", (1, 3)) if kind == "CZ" else Gate(kind, (2,), slot=prefix.num_params)
+        template = template_from_gates(4, prefix.gates + (gate,))
         rows = rng.uniform(5 * template.num_params, 0, 2 * np.pi).reshape(5, -1)
-        batch = run_circuit_batch(template, rows)
-        angles = rng.uniform(5, 0, 2 * np.pi)
-        expected = [apply_gate(batch[i].copy(), gate, angles[i]) for i in range(5)]
-        assert apply_gate(batch, gate, angles) is batch
-        assert np.allclose(batch, np.stack(expected), atol=1e-12)
+        assert_rows_match_dense(template, rows)
 
     def test_norm_preserved_per_gate(self, rng):
         template = random_template(rng, 3, 24)
-        state = zero_state(3)
         params = rng.uniform(template.num_params, 0, 2 * np.pi)
-        for gate in template.gates:
-            angle = params[gate.slot] if gate.slot is not None else 0.0
-            apply_gate(state, gate, angle)
+        for n in range(1, len(template.gates) + 1):
+            prefix = template_from_gates(3, template.gates[:n])
+            state = run_circuit_batch(prefix, params[None, :prefix.num_params])[0]
             assert abs(norm_squared(state) - 1.0) < 1e-10
+
+
+ANGLES = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+@st.composite
+def circuits(draw):
+    """(template, rows): 1-6 qubits, 1-10 gates with CZ on any pair, 1-5 rows."""
+    q = draw(st.integers(1, 6))
+    gates, slot = [], 0
+    for kind in draw(st.lists(st.sampled_from(GATE_KINDS if q > 1 else ROTATION_KINDS),
+                              min_size=1, max_size=10)):
+        if kind == "CZ":
+            pair = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+            gates.append(Gate("CZ", tuple(pair)))
+        elif draw(st.booleans()):
+            gates.append(Gate(kind, (draw(st.integers(0, q - 1)),), angle=draw(ANGLES)))
+        else:
+            gates.append(Gate(kind, (draw(st.integers(0, q - 1)),), slot=slot))
+            slot += 1
+    b = draw(st.integers(1, 5))
+    values = draw(st.lists(ANGLES, min_size=b * slot, max_size=b * slot))
+    return template_from_gates(q, gates), np.array(values).reshape(b, slot)
+
+
+class TestDenseOracleProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(circuits())
+    @example((single_slot_template("RX"), np.array([[0.3], [-2.0]])))
+    @example((single_slot_template("RY"), np.array([[1.1]])))
+    @example((single_slot_template("RZ"), np.array([[0.7], [3.0], [-5.5]])))
+    @example((flipped(3, 0, 2, then=[Gate("CZ", (0, 2))]), np.zeros((2, 0))))
+    @example((flipped(4, 1, 3, then=[Gate("RX", (0,), slot=0), Gate("CZ", (3, 1))]),
+              np.array([[0.4], [1.9], [-0.8], [2.5], [6.0]])))
+    def test_batch_rows_match_dense_columns(self, case):
+        assert_rows_match_dense(*case)
 
 
 class TestRunCircuit:
@@ -128,7 +176,7 @@ class TestVacuumProjector:
         assert vacuum_projector_expectation(zero_state(3)) == 1.0
 
     def test_orthogonal_state(self):
-        state = apply_gate(zero_state(2), Gate("RY", (0,), angle=np.pi))
+        state = run_circuit(flipped(2, 0), np.zeros(0))
         assert abs(vacuum_projector_expectation(state)) < 1e-12
 
     def test_half_pi_rotation(self):
@@ -179,7 +227,7 @@ class TestPauliExpectation:
         assert np.isclose(pauli_expectation(state, h), 1.0)
 
     def test_zz_on_01(self):
-        state = apply_gate(zero_state(2), Gate("RY", (0,), angle=np.pi))
+        state = run_circuit(flipped(2, 0), np.zeros(0))
         h = PauliSum.build(2, [(1.0, {0: "Z", 1: "Z"})])
         assert np.isclose(pauli_expectation(state, h), -1.0)
 
