@@ -21,16 +21,12 @@ from .gradients import (
     VarianceScanConfig,
     gradient_descent,
     hybrid_optimize,
+    loss_functions,
     parameter_shift_expectation_gradient,
     stateprep_loss_gradient,
     surrogate_gradient_variance_scan,
 )
-from .hamiltonian import (
-    exact_ground_energy,
-    load_pauli_file,
-    parse_pauli_file,
-    vqe_fitness,
-)
+from .hamiltonian import exact_ground_energy, load_pauli_file, parse_pauli_file
 from .nes import (
     FullDistribution,
     IsotropicDistribution,
@@ -46,7 +42,6 @@ from .simulator import (
     PauliSum,
     pauli_expectation,
     run_circuit,
-    stateprep_fitness,
     vacuum_projector_expectation,
 )
 from .trace import GradientSnapshot, RunTrace

@@ -62,12 +62,10 @@ def _grouped(labels) -> list[np.ndarray]:
 
 def _blocks(labels, batch_size: int) -> list[np.ndarray]:
     # contiguous label groups whose combined slot count approximately fills batch_size
-    labels = np.asarray(labels)
-    groups = [np.flatnonzero(labels == value) for value in np.unique(labels)]
     batches: list[np.ndarray] = []
     current: list[np.ndarray] = []
     count = 0
-    for group in groups:
+    for group in _grouped(labels):
         if current and count + group.size > batch_size:
             batches.append(np.sort(np.concatenate(current)))
             current, count = [], 0
@@ -108,7 +106,6 @@ def batch_optimize(
     rng: SeededRng,
     variant: str = "snes",
     trace: RunTrace | None = None,
-    fitness_batch=None,
     n_workers: int = 0,
 ) -> tuple[np.ndarray, RunTrace]:
     """Round-robin per-batch optimization with all other parameters frozen.
@@ -130,4 +127,4 @@ def batch_optimize(
         return FullDistribution.isotropic(mu[idx], sigma_init)
 
     blocks = [(idx, block(idx)) for idx in schedule.batches]
-    return _optimize_blocks(fitness, blocks, mu, config, rng, trace, fitness_batch, n_workers)
+    return _optimize_blocks(fitness, blocks, mu, config, rng, trace, n_workers)

@@ -12,15 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import vqe_fitness, vqe_fitness_batch
 from .nes import NesConfig, SeparableDistribution, optimize
 from .numerics import SeededRng
 from .simulator import (
     PauliSum,
     pauli_expectation_batch,
     run_circuit_batch,
-    stateprep_fitness,
-    stateprep_fitness_batch,
     vacuum_projector_expectation,
 )
 from .trace import GradientSnapshot, RunTrace
@@ -78,13 +75,15 @@ def stateprep_loss_gradient(template, params: np.ndarray) -> np.ndarray:
 
 
 def loss_functions(template, observable: PauliSum | None = None):
-    """(loss, batched loss, loss gradient): the energy of observable, or state prep if None."""
+    """(loss, loss gradient): the energy of observable, or state prep (1 - E)**2 if None.
+
+    The loss maps a (B, P) matrix of parameter rows to B values; the gradient takes one
+    parameter vector.
+    """
     if observable is None:
-        return (lambda z: stateprep_fitness(template, z),
-                lambda rows: stateprep_fitness_batch(template, rows),
+        return (lambda rows: (1.0 - expectation_values(template, rows, None)) ** 2,
                 lambda z: stateprep_loss_gradient(template, z))
-    return (lambda z: vqe_fitness(template, z, observable),
-            lambda rows: vqe_fitness_batch(template, rows, observable),
+    return (lambda rows: expectation_values(template, rows, observable),
             lambda z: parameter_shift_expectation_gradient(template, z, observable))
 
 
@@ -102,7 +101,7 @@ class GdConfig:
 
 
 def gradient_descent(
-    loss_fn,
+    loss,
     grad_fn,
     initial_params: np.ndarray,
     config: GdConfig,
@@ -110,30 +109,31 @@ def gradient_descent(
 ) -> tuple[np.ndarray, RunTrace]:
     """theta <- theta - eta * grad until the gradient norm drops below tolerance.
 
-    The trace charges 2 * num_params + 1 evaluations per iteration (the
-    parameter-shift gradient plus the recorded loss). A trace that already has
-    rows is continued: iterations and evaluations count on from its last row,
-    and no new row 0 is recorded.
+    `loss` maps a matrix of parameter rows to their losses. The trace charges
+    2 * num_params + 1 evaluations per iteration (the parameter-shift gradient
+    plus the recorded loss). A trace that already has rows is continued:
+    iterations and evaluations count on from its last row, and no new row 0 is
+    recorded.
     """
     x = np.array(initial_params, dtype=float)
     evals_per_iteration = 2 * x.size + 1
     if trace is None:
         trace = RunTrace()
-    loss = float(loss_fn(x))
-    if not np.isfinite(loss):
+    value = float(loss(x[None, :])[0])
+    if not np.isfinite(value):
         raise RuntimeError("loss diverged at the initial point")
     if not len(trace):
-        trace.record(0, 0, loss, 0.0)
+        trace.record(0, 0, value, 0.0)
     start, start_evals = trace.iterations[-1], trace.evaluations[-1]
     for iteration in range(1, config.max_iterations + 1):
         grad = np.asarray(grad_fn(x), dtype=float)
         if float(np.linalg.norm(grad)) < config.tolerance:
             break
         x = x - config.learning_rate * grad
-        loss = float(loss_fn(x))
-        if not np.isfinite(loss):
+        value = float(loss(x[None, :])[0])
+        if not np.isfinite(value):
             raise RuntimeError(f"loss diverged at iteration {iteration}")
-        trace.record(start + iteration, start_evals + iteration * evals_per_iteration, loss, 0.0)
+        trace.record(start + iteration, start_evals + iteration * evals_per_iteration, value, 0.0)
     return x, trace
 
 
@@ -141,9 +141,6 @@ def gradient_descent(
 class VarianceScanConfig:
     """Grid for the surrogate-vs-analytical gradient variance experiment."""
 
-    num_qubits: int
-    num_layers: int
-    structure_seed: int
     num_inits: int
     sigma_values: tuple[float, ...]
     walker_counts: tuple[int, ...]
@@ -170,8 +167,9 @@ def local_cost_observable(num_qubits: int) -> PauliSum:
     return PauliSum.build(num_qubits, [(1.0, {0: "Z", 1: "Z"})])
 
 
-def surrogate_gradient_variance_scan(config: VarianceScanConfig, rng: SeededRng) -> list[VarianceScanRow]:
-    """Variance across random initializations of the first gradient component.
+def surrogate_gradient_variance_scan(template, config: VarianceScanConfig,
+                                     rng: SeededRng) -> list[VarianceScanRow]:
+    """Variance across random initializations of the template's first gradient component.
 
     For every (sigma_init, walkers) cell the surrogate is the search-gradient
     estimate; the exact column is the variance of the analytical gradient over
@@ -180,9 +178,6 @@ def surrogate_gradient_variance_scan(config: VarianceScanConfig, rng: SeededRng)
     rows for the exact component (not 2P: only component 0 is reported) plus k
     rows per cell, or 2k for the symmetric estimator.
     """
-    from .ansatz import build_rpqc
-
-    template = build_rpqc(config.num_qubits, config.num_layers, config.structure_seed)
     p = template.num_params
     combos = [(s, k) for s in config.sigma_values for k in config.walker_counts]
     surrogate = {combo: np.empty(config.num_inits) for combo in combos}
@@ -231,28 +226,26 @@ def analytical_gradient_variance(
 
 
 def hybrid_optimize(
-    template,
+    loss,
+    grad_fn,
+    mu: np.ndarray,
     warmup_iterations: int,
     nes_config: NesConfig,
     gd_config: GdConfig,
     rng: SeededRng,
-    observable: PauliSum | None = None,
     sigma_init: float = 0.1,
-    initial_mu: np.ndarray | None = None,
     snapshot_interval: int | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
-    """Separable-strategy warm-up, then plain gradient descent from the reached center.
+    """Separable-strategy warm-up from mu, then plain gradient descent from the reached center.
 
-    Analytical-gradient snapshots are recorded at iteration 0 and after the
-    warm-up (plus every snapshot_interval warm-up iterations when set); they are
-    the data behind violin-style gradient-spread plots.
+    `loss` and `grad_fn` are as returned by `loss_functions`. Analytical-gradient
+    snapshots are recorded at iteration 0 and after the warm-up (plus every
+    snapshot_interval warm-up iterations when set); they are the data behind
+    violin-style gradient-spread plots.
     """
     if warmup_iterations < 0:
         raise ValueError("warmup_iterations must be >= 0")
-    d = template.num_params
-    mu = rng.uniform(d, 0.0, 2.0 * np.pi) if initial_mu is None else np.array(initial_mu, float)
-
-    loss_fn, loss_batch, grad_fn = loss_functions(template, observable)
+    mu = np.array(mu, dtype=float)
     trace = RunTrace()
     trace.gradient_snapshots.append(GradientSnapshot(0, grad_fn(mu)))
 
@@ -262,15 +255,12 @@ def hybrid_optimize(
                 trace.gradient_snapshots.append(GradientSnapshot(iteration, grad_fn(dist.mu)))
 
         warm_cfg = replace(nes_config, max_iterations=warmup_iterations)
-        dist = SeparableDistribution(mu=mu, sigma=np.full(d, float(sigma_init)))
-        mu, trace = optimize(
-            loss_fn, dist, warm_cfg, rng,
-            trace=trace, fitness_batch=loss_batch, callback=maybe_snapshot,
-        )
+        dist = SeparableDistribution(mu=mu, sigma=np.full(mu.size, float(sigma_init)))
+        mu, trace = optimize(loss, dist, warm_cfg, rng, trace=trace, callback=maybe_snapshot)
         last = trace.gradient_snapshots[-1]
         if last.iteration != trace.iterations[-1]:
             trace.gradient_snapshots.append(
                 GradientSnapshot(trace.iterations[-1], grad_fn(mu))
             )
 
-    return gradient_descent(loss_fn, grad_fn, mu, gd_config, trace)
+    return gradient_descent(loss, grad_fn, mu, gd_config, trace)

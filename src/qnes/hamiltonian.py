@@ -1,4 +1,6 @@
-"""Pauli-sum Hamiltonian files, a dense diagonalization oracle, and the VQE fitness.
+"""Pauli-sum Hamiltonian files and the dense diagonalization oracle of their ground energy.
+
+The energy loss a VQE run minimizes is `gradients.loss_functions(template, h)`.
 
 File format (UTF-8 text): `#` starts a comment; the first content line is
 `qubits <N>`; every other content line is `<coefficient> <P><q> [<P><q> ...]`
@@ -19,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .simulator import (PauliSum, _pauli_action, pauli_expectation, pauli_expectation_batch,
-                        run_circuit, run_circuit_batch)
+from .simulator import PauliSum, _pauli_action
 
 MAX_DENSE_QUBITS = 12
 
@@ -102,15 +103,6 @@ def exact_ground_energy(h: PauliSum) -> float:
     """
     m = dense_matrix(h)
     return float(np.linalg.eigvalsh(m.real if not m.imag.any() else m)[0])
-
-
-def vqe_fitness(template, params: np.ndarray, h: PauliSum) -> float:
-    """Energy expectation of the circuit output state; the quantity VQE minimizes."""
-    return pauli_expectation(run_circuit(template, params), h)
-
-
-def vqe_fitness_batch(template, param_rows: np.ndarray, h: PauliSum) -> np.ndarray:
-    return pauli_expectation_batch(run_circuit_batch(template, param_rows), h)
 
 
 def bundled_hamiltonian_path(name: str = "h2") -> Path:

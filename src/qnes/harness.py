@@ -360,42 +360,44 @@ def _initial_distribution(config: ExperimentConfig, mu0: np.ndarray):
 
 
 def _problem(config: ExperimentConfig, template):
-    """(fitness, fitness_batch, grad_fn, observable, header_extra) of the configured loss.
+    """(loss, grad_fn, header_extra) of the configured loss.
 
     The energy of the [vqe] Hamiltonian when one is set, state preparation otherwise.
     """
     h = config.hamiltonian
-    if h is None:
-        return (*loss_functions(template), None, {})
     extra = {}
-    if h.num_qubits <= MAX_DENSE_QUBITS:
+    if h is not None and h.num_qubits <= MAX_DENSE_QUBITS:
         reference = exact_ground_energy(h)
         extra["exact_ground_energy"] = repr(reference)
         print(f"exact_ground_energy = {reference!r}")
-    return (*loss_functions(template, h), h, extra)
+    return (*loss_functions(template, h), extra)
 
 
-def _run_nes(config: ExperimentConfig, template, fitness, fitness_batch, seed: int) -> RunTrace:
+def _start(template, seed: int) -> tuple[SeededRng, np.ndarray]:
+    """The seed's generator, after it drew the initial point uniformly in [0, 2*pi)."""
     rng = SeededRng(seed)
-    mu0 = rng.uniform(template.num_params, 0.0, 2.0 * np.pi)
+    return rng, rng.uniform(template.num_params, 0.0, 2.0 * np.pi)
+
+
+def _run_nes(config: ExperimentConfig, template, loss, seed: int) -> RunTrace:
+    rng, mu0 = _start(template, seed)
     trace = RunTrace()
-    fitness_batch = None if config.workers else fitness_batch
     if config.experiment == "batch":
         strategy = PartitionStrategy(kind=config.batch_strategy, batch_size=config.batch_size)
         schedule = make_partition(template, strategy, rng)
-        batch_optimize(fitness, schedule, mu0, config.sigma_init, _nes_config(config), rng,
-                       variant=config.optimizer, trace=trace, fitness_batch=fitness_batch,
-                       n_workers=config.workers)
+        batch_optimize(loss, schedule, mu0, config.sigma_init, _nes_config(config), rng,
+                       variant=config.optimizer, trace=trace, n_workers=config.workers)
     else:
-        optimize(fitness, _initial_distribution(config, mu0), _nes_config(config), rng,
-                 trace=trace, fitness_batch=fitness_batch, n_workers=config.workers)
+        optimize(loss, _initial_distribution(config, mu0), _nes_config(config), rng,
+                 trace=trace, n_workers=config.workers)
     return trace
 
 
-def _run_hybrid(config: ExperimentConfig, template, observable, seed: int) -> RunTrace:
+def _run_hybrid(config: ExperimentConfig, template, loss, grad_fn, seed: int) -> RunTrace:
+    rng, mu0 = _start(template, seed)
     _, trace = hybrid_optimize(
-        template, config.hybrid_warmup, _nes_config(config), _gd_config(config),
-        SeededRng(seed), observable=observable, sigma_init=config.sigma_init,
+        loss, grad_fn, mu0, config.hybrid_warmup, _nes_config(config), _gd_config(config),
+        rng, sigma_init=config.sigma_init,
         snapshot_interval=config.hybrid_snapshot_interval or None,
     )
     write_snapshot_csv(config.out_dir / f"trace_seed{seed}_gradients.csv", trace, config, seed)
@@ -426,21 +428,20 @@ def run_experiment(config: ExperimentConfig) -> None:
     # provenance: the exact gate list the run used
     (config.out_dir / "circuit.txt").write_text(template_to_text(template), encoding="utf-8")
     if config.experiment == "variance_scan":
-        _run_variance_scan(config)
+        _run_variance_scan(config, template)
         return
-    fitness, fitness_batch, grad_fn, observable, extra = _problem(config, template)
+    loss, grad_fn, extra = _problem(config, template)
 
     def nes(seed):
-        return _run_nes(config, template, fitness, fitness_batch, seed)
+        return _run_nes(config, template, loss, seed)
 
     def gd(seed):
-        x0 = SeededRng(seed).uniform(template.num_params, 0.0, 2.0 * np.pi)
-        return gradient_descent(fitness, grad_fn, x0, _gd_config(config))[1]
+        return gradient_descent(loss, grad_fn, _start(template, seed)[1], _gd_config(config))[1]
 
     if config.experiment == "compare_gd":
         runners = {"_nes": nes, "_gd": gd}
     elif config.experiment == "hybrid":
-        runners = {"": lambda seed: _run_hybrid(config, template, observable, seed)}
+        runners = {"": lambda seed: _run_hybrid(config, template, loss, grad_fn, seed)}
     else:
         runners = {"": gd if config.optimizer == "gd" else nes}
     traces = {suffix: _run_seeds(config, runner, suffix, extra)
@@ -449,18 +450,15 @@ def run_experiment(config: ExperimentConfig) -> None:
         _emit_summary(config, seed_traces, suffix, extra)
 
 
-def _run_variance_scan(config: ExperimentConfig) -> None:
-    ansatz = config.ansatz
+def _run_variance_scan(config: ExperimentConfig, template) -> None:
     scan = VarianceScanConfig(
-        num_qubits=ansatz.num_qubits,
-        num_layers=ansatz.num_layers,
-        structure_seed=ansatz.structure_seed,
         num_inits=config.scan_num_inits,
         sigma_values=config.scan_sigma_values,
         walker_counts=config.scan_walker_counts,
-        observable=local_cost_observable(ansatz.num_qubits),
+        observable=local_cost_observable(template.num_qubits),
     )
     rows = [(row.sigma_init, row.walkers, row.variance_surrogate, row.variance_exact)
-            for row in surrogate_gradient_variance_scan(scan, SeededRng(config.seeds[0]))]
+            for row in surrogate_gradient_variance_scan(template, scan,
+                                                        SeededRng(config.seeds[0]))]
     _write_csv(config.out_dir / "variance_scan.csv", "variance-scan", SCAN_SCHEMA, rows,
                config, config.seeds[0])

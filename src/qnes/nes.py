@@ -8,8 +8,8 @@ Three variants, all minimizing a black-box fitness:
 - full: global scale sigma plus a unit-determinant shape matrix B updated in
   exponential coordinates; the covariance factor is sigma * B.
 
-The k fitness evaluations per iteration are pure and may run serially, on a
-thread pool, or through a vectorized batch evaluator; per-walker child random
+The fitness maps a (k, d) matrix of walker rows to k values, and is called once
+per generation, or once per row chunk on a thread pool; per-walker child random
 streams keep sampling independent of the execution schedule.
 """
 
@@ -276,20 +276,20 @@ def xnes_step(dist: FullDistribution, batch: WalkerBatch, config: NesConfig) -> 
     return FullDistribution(mu=mu, sigma=sigma * drift, shape=shape / drift)
 
 
-def make_evaluator(fitness, fitness_batch=None, n_workers: int = 0):
-    """Row-matrix fitness evaluator: vectorized, threaded, or serial.
+def make_evaluator(fitness, n_workers: int = 0):
+    """Row-matrix fitness evaluator: one call, or one call per row chunk on n_workers threads.
 
-    All three produce the fitness of each row; threaded and serial are
-    bit-identical (same per-row arithmetic, results gathered in walker order).
+    Rows are evaluated independently, so both give each row the same value; chunks
+    are never empty and are gathered in walker order.
     """
-    if fitness_batch is not None:
-        return lambda points: np.asarray(fitness_batch(points), dtype=float)
-    if n_workers > 1:
-        def threaded(points):
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                return np.array(list(pool.map(fitness, points)), dtype=float)
-        return threaded
-    return lambda points: np.array([fitness(z) for z in points], dtype=float)
+    if n_workers <= 1:
+        return lambda points: np.asarray(fitness(points), dtype=float)
+
+    def threaded(points):
+        chunks = np.array_split(points, min(n_workers, len(points)))
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            return np.concatenate([np.asarray(v, dtype=float) for v in pool.map(fitness, chunks)])
+    return threaded
 
 
 def optimize(
@@ -298,23 +298,23 @@ def optimize(
     config: NesConfig,
     rng: SeededRng,
     trace: RunTrace | None = None,
-    fitness_batch=None,
     n_workers: int = 0,
     callback=None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Sample -> evaluate -> step until the spread threshold or max_iterations.
 
-    Returns the final distribution center and the trace. The trace records the
-    loss at the center each iteration (one reporting evaluation, not counted);
-    counted evaluations grow by exactly k per iteration.
+    `fitness` maps a matrix of parameter rows to their fitnesses. Returns the
+    final distribution center and the trace. The trace records the loss at the
+    center each iteration (one reporting evaluation, not counted); counted
+    evaluations grow by exactly k per iteration.
     """
     blocks = [(np.arange(dist.mu.size), dist)]
     return _optimize_blocks(fitness, blocks, np.array(dist.mu), config, rng, trace,
-                            fitness_batch, n_workers, callback)
+                            n_workers, callback)
 
 
 def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: SeededRng,
-                     trace: RunTrace | None = None, fitness_batch=None, n_workers: int = 0,
+                     trace: RunTrace | None = None, n_workers: int = 0,
                      callback=None) -> tuple[np.ndarray, RunTrace]:
     """The one strategy loop, over (indices, distribution) blocks of the vector mu.
 
@@ -328,7 +328,7 @@ def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: Se
     if config.population < needed:
         raise ValueError(f"population must be >= {needed} for fitness shaping")
     spreads = [dist.spread() for dist in dists]
-    evaluator = make_evaluator(fitness, fitness_batch, n_workers)
+    evaluator = make_evaluator(fitness, n_workers)
     if trace is None:
         trace = RunTrace()
     evaluations = 0

@@ -255,15 +255,6 @@ def vacuum_projector_expectation(state: np.ndarray) -> np.ndarray | float:
     return value if np.ndim(value) else float(value)
 
 
-def stateprep_fitness(template, params: np.ndarray) -> float:
-    """(1 - vacuum-projector expectation)**2 for the circuit output state."""
-    return float((1.0 - vacuum_projector_expectation(run_circuit(template, params))) ** 2)
-
-
-def stateprep_fitness_batch(template, param_rows: np.ndarray) -> np.ndarray:
-    return (1.0 - vacuum_projector_expectation(run_circuit_batch(template, param_rows))) ** 2
-
-
 def apply_pauli_string(state: np.ndarray, paulis: tuple[tuple[int, str], ...]) -> np.ndarray:
     """P|psi> for a single Pauli string; returns a new array."""
     nq = num_qubits_of(state)

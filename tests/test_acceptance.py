@@ -22,6 +22,7 @@ from qnes.gradients import (
     gradient_descent,
     hybrid_optimize,
     local_cost_observable,
+    loss_functions,
     parameter_shift_expectation_gradient,
     stateprep_loss_gradient,
     surrogate_gradient_variance_scan,
@@ -30,8 +31,6 @@ from qnes.hamiltonian import (
     bundled_hamiltonian_path,
     exact_ground_energy,
     load_pauli_file,
-    vqe_fitness,
-    vqe_fitness_batch,
 )
 from qnes.nes import (
     FullDistribution,
@@ -46,7 +45,7 @@ from qnes.nes import (
 )
 from qnes.numerics import SeededRng
 from qnes.harness import load_config, run_experiment
-from qnes.simulator import PauliSum, run_circuit, stateprep_fitness, stateprep_fitness_batch
+from qnes.simulator import PauliSum, run_circuit
 
 
 def report(number: int, description: str):
@@ -100,7 +99,8 @@ def test_criterion_02_parameter_shift_matches_finite_differences():
                 return grad
 
             loss_grad = stateprep_loss_gradient(template, params)
-            fd_loss = fd(lambda p: stateprep_fitness(template, p))
+            loss, _ = loss_functions(template)
+            fd_loss = fd(lambda p: loss(p[None, :])[0])
             assert np.max(np.abs(loss_grad - fd_loss)) < 1e-6
 
             energy_grad = parameter_shift_expectation_gradient(template, params, observable)
@@ -170,10 +170,7 @@ def test_criterion_06_full_covariance_structure_preserved():
 
 def test_criterion_07_classical_sphere_sanity():
     with report(7, "sphere function reaches 1e-6 within 300 iterations, 10/10 seeds"):
-        def sphere(z):
-            return float(np.sum(z * z))
-
-        def sphere_batch(rows):
+        def sphere(rows):
             return np.sum(rows * rows, axis=1)
 
         for variant in ("snes", "xnes"):
@@ -185,15 +182,14 @@ def test_criterion_07_classical_sphere_sanity():
                 else:
                     dist = FullDistribution.isotropic(mu0, 1.0)
                 mu, _ = optimize(sphere, dist, NesConfig(population=16, max_iterations=300),
-                                 rng, fitness_batch=sphere_batch)
-                assert sphere(mu) < 1e-6, (variant, seed)
+                                 rng)
+                assert sphere(mu[None, :])[0] < 1e-6, (variant, seed)
 
 
 def test_criterion_08_state_preparation_and_descent_baseline(monkeypatch):
     with report(8, "5-qubit state prep: strategy and baseline hit 1e-2; eval accounting"):
         template = build_rpqc(5, 10, structure_seed=11)
-        fitness = lambda z: stateprep_fitness(template, z)
-        fitness_batch = lambda rows: stateprep_fitness_batch(template, rows)
+        fitness, _ = loss_functions(template)
 
         nes_hits = 0
         for seed in range(10):
@@ -201,7 +197,7 @@ def test_criterion_08_state_preparation_and_descent_baseline(monkeypatch):
             mu0 = rng.uniform(template.num_params, 0, 2 * np.pi)
             dist = SeparableDistribution(mu0, np.full(template.num_params, 0.1))
             _, trace = optimize(fitness, dist, NesConfig(population=16, max_iterations=500),
-                                rng, fitness_batch=fitness_batch)
+                                rng)
             diffs = np.diff(trace.evaluations)
             assert np.all(diffs == 16)  # k evaluations per iteration, exactly
             nes_hits += any(loss < 1e-2 for loss in trace.losses)
@@ -236,13 +232,14 @@ def test_criterion_08_state_preparation_and_descent_baseline(monkeypatch):
 
 def test_criterion_09_variance_amplification_trends():
     with report(9, "surrogate-gradient variance trends in width and walkers"):
+        template = build_rpqc(8, 10, structure_seed=11)
         config = VarianceScanConfig(
-            num_qubits=8, num_layers=10, structure_seed=11, num_inits=500,
+            num_inits=500,
             sigma_values=(np.pi / 8, np.pi / 16, np.pi / 32),
             walker_counts=(1, 2, 4, 8),
             observable=local_cost_observable(8),
         )
-        rows = surrogate_gradient_variance_scan(config, SeededRng(909))
+        rows = surrogate_gradient_variance_scan(template, config, SeededRng(909))
         cell = {(round(r.sigma_init, 12), r.walkers): r.variance_surrogate for r in rows}
         exact = rows[0].variance_exact
         s8, s16, s32 = (round(s, 12) for s in (np.pi / 8, np.pi / 16, np.pi / 32))
@@ -267,8 +264,7 @@ def test_criterion_10_barren_plateau_decay():
 def test_criterion_11_batch_optimization_deep_circuit():
     with report(11, "deep-circuit batch optimization converges; partitions sound"):
         template = build_rpqc(10, 50, structure_seed=11)
-        fitness = lambda z: stateprep_fitness(template, z)
-        fitness_batch = lambda rows: stateprep_fitness_batch(template, rows)
+        fitness, _ = loss_functions(template)
 
         for kind in STRATEGY_KINDS:
             strategy = PartitionStrategy(kind, batch_size=50)
@@ -279,7 +275,7 @@ def test_criterion_11_batch_optimization_deep_circuit():
             mu0 = rng.uniform(template.num_params, 0, 2 * np.pi)
             _, trace = batch_optimize(
                 fitness, schedule, mu0, 0.1, NesConfig(population=16, max_iterations=12),
-                rng, variant="snes", fitness_batch=fitness_batch,
+                rng, variant="snes",
             )
             assert len(trace) == 13  # run completes under every strategy
 
@@ -292,7 +288,7 @@ def test_criterion_11_batch_optimization_deep_circuit():
             schedule = make_partition(template, PartitionStrategy("random", 50), rng)
             _, trace = batch_optimize(
                 fitness, schedule, mu0, 0.1, NesConfig(population=16, max_iterations=500),
-                rng, variant="snes", fitness_batch=fitness_batch,
+                rng, variant="snes",
             )
             ratio = np.array(trace.losses) / trace.losses[0]
             hits += bool(np.any(ratio < 0.1))
@@ -302,6 +298,7 @@ def test_criterion_11_batch_optimization_deep_circuit():
 def test_criterion_12_hybrid_gradient_spread():
     with report(12, "gradient spread grows after 5 warm-up iterations"):
         template = build_rpqc(10, 20, structure_seed=11)
+        loss, grad_fn = loss_functions(template)
 
         def iqr(values):
             lo, hi = np.percentile(values, [25, 75])
@@ -309,9 +306,11 @@ def test_criterion_12_hybrid_gradient_spread():
 
         grew = 0
         for seed in range(10):
+            rng = SeededRng(seed)
+            mu0 = rng.uniform(template.num_params, 0, 2 * np.pi)
             _, trace = hybrid_optimize(
-                template, 5, NesConfig(population=16),
-                GdConfig(learning_rate=0.1, max_iterations=1), SeededRng(seed),
+                loss, grad_fn, mu0, 5, NesConfig(population=16),
+                GdConfig(learning_rate=0.1, max_iterations=1), rng,
             )
             snaps = {s.iteration: s.components for s in trace.gradient_snapshots}
             grew += iqr(snaps[5]) >= iqr(snaps[0])
@@ -323,17 +322,14 @@ def test_criterion_13_vqe_reaches_ground_energy():
         h = load_pauli_file(bundled_hamiltonian_path("h2"))
         reference = exact_ground_energy(h)
         template = build_rpqc(2, 3, structure_seed=2)
+        energy, _ = loss_functions(template, h)
         best = np.inf
         for seed in range(4):
             rng = SeededRng(seed)
             mu0 = rng.uniform(template.num_params, 0, 2 * np.pi)
             dist = SeparableDistribution(mu0, np.full(template.num_params, 0.1))
-            mu, _ = optimize(
-                lambda z: vqe_fitness(template, z, h), dist,
-                NesConfig(population=16, max_iterations=400), rng,
-                fitness_batch=lambda rows: vqe_fitness_batch(template, rows, h),
-            )
-            best = min(best, vqe_fitness(template, mu, h))
+            mu, _ = optimize(energy, dist, NesConfig(population=16, max_iterations=400), rng)
+            best = min(best, energy(mu[None, :])[0])
         assert best >= reference - 1e-9  # variational bound
         assert best - reference < 1e-3, f"gap {best - reference:.2e}"
 
@@ -360,9 +356,9 @@ def test_criterion_14_determinism(tmp_path):
         threaded = run_once(2)
         assert threaded == run_once(2)          # replay under parallel walkers
 
-        # serial vs thread-pool walker evaluation is bit-identical at the API level
-        def sphere(z):
-            return float(np.sum(z * z))
+        # vectorized vs thread-pool walker evaluation is bit-identical at the API level
+        def sphere(rows):
+            return np.sum(rows * rows, axis=1)
 
         def run_opt(workers):
             rng = SeededRng(14)

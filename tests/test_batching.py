@@ -9,9 +9,9 @@ from qnes.batching import (
     batch_optimize,
     make_partition,
 )
+from qnes.gradients import loss_functions
 from qnes.nes import FullDistribution, NesConfig, SeparableDistribution, optimize
 from qnes.numerics import SeededRng
-from qnes.simulator import stateprep_fitness, stateprep_fitness_batch
 
 
 def assert_disjoint_exhaustive(schedule, num_params):
@@ -88,8 +88,7 @@ class TestBatchOptimize:
     @pytest.mark.parametrize("variant", ["snes", "xnes"])
     def test_single_batch_reduces_to_plain_optimize(self, variant):
         template = build_rpqc(4, 3, structure_seed=7)
-        fitness = lambda z: stateprep_fitness(template, z)
-        fitness_batch = lambda rows: stateprep_fitness_batch(template, rows)
+        fitness, _ = loss_functions(template)
         d = template.num_params
         mu0 = SeededRng(99).uniform(d, 0, 2 * np.pi)
         cfg = NesConfig(population=6, max_iterations=25)
@@ -97,21 +96,21 @@ class TestBatchOptimize:
         schedule = make_partition(template, PartitionStrategy("random", d), SeededRng(1))
         rng_a = SeededRng(5)
         mu_batch, trace_batch = batch_optimize(
-            fitness, schedule, mu0, 0.1, cfg, rng_a, variant=variant, fitness_batch=fitness_batch
+            fitness, schedule, mu0, 0.1, cfg, rng_a, variant=variant
         )
         rng_b = SeededRng(5)
         if variant == "snes":
             dist = SeparableDistribution(mu0, np.full(d, 0.1))
         else:
             dist = FullDistribution.isotropic(mu0, 0.1)
-        mu_plain, trace_plain = optimize(fitness, dist, cfg, rng_b, fitness_batch=fitness_batch)
+        mu_plain, trace_plain = optimize(fitness, dist, cfg, rng_b)
 
         assert np.array_equal(mu_batch, mu_plain)
         assert trace_batch.rows() == trace_plain.rows()
 
     def test_frozen_coordinates_unchanged(self):
         template = build_rpqc(5, 4, structure_seed=3)
-        fitness_batch = lambda rows: stateprep_fitness_batch(template, rows)
+        fitness, _ = loss_functions(template)
         d = template.num_params
         rng = SeededRng(2)
         mu0 = rng.uniform(d, 0, 2 * np.pi)
@@ -119,13 +118,12 @@ class TestBatchOptimize:
 
         seen = {"points": []}
 
-        def recording_fitness_batch(rows):
+        def recording_fitness(rows):
             seen["points"].append(rows.copy())
-            return fitness_batch(rows)
+            return fitness(rows)
 
         cfg = NesConfig(population=4, max_iterations=4)
-        batch_optimize(lambda z: None, schedule, mu0, 0.1, cfg, SeededRng(2),
-                       variant="snes", fitness_batch=recording_fitness_batch)
+        batch_optimize(recording_fitness, schedule, mu0, 0.1, cfg, SeededRng(2), variant="snes")
         # walker evaluations for iteration 1 only vary inside the first batch
         walker_rows = seen["points"][1]
         active = set(schedule.batches[0].tolist())
@@ -137,45 +135,45 @@ class TestBatchOptimize:
 
     def test_round_robin_cursor_recorded(self):
         template = build_rpqc(4, 4, structure_seed=1)
-        fitness_batch = lambda rows: stateprep_fitness_batch(template, rows)
+        fitness, _ = loss_functions(template)
         schedule = make_partition(template, PartitionStrategy("layer_wise"), SeededRng(0))
         cfg = NesConfig(population=4, max_iterations=9)
-        _, trace = batch_optimize(lambda z: None, schedule,
+        _, trace = batch_optimize(fitness, schedule,
                                   SeededRng(1).uniform(16, 0, 2 * np.pi), 0.1, cfg,
-                                  SeededRng(1), variant="snes", fitness_batch=fitness_batch)
+                                  SeededRng(1), variant="snes")
         assert trace.batch_cursors == [0, 0, 1, 2, 3, 0, 1, 2, 3, 0]
 
     def test_xnes_variant_keeps_unit_determinant_blocks(self):
         template = build_rpqc(4, 4, structure_seed=6)
-        fitness_batch = lambda rows: stateprep_fitness_batch(template, rows)
+        fitness, _ = loss_functions(template)
         schedule = make_partition(template, PartitionStrategy("random", 8), SeededRng(4))
         cfg = NesConfig(population=8, max_iterations=20)
-        mu, trace = batch_optimize(lambda z: None, schedule,
+        mu, trace = batch_optimize(fitness, schedule,
                                    SeededRng(8).uniform(16, 0, 2 * np.pi), 0.1, cfg,
-                                   SeededRng(8), variant="xnes", fitness_batch=fitness_batch)
+                                   SeededRng(8), variant="xnes")
         assert np.all(np.isfinite(mu))
         assert len(trace) == 21
 
     def test_loss_decreases_on_small_problem(self):
         template = build_rpqc(5, 6, structure_seed=4)
-        fitness_batch = lambda rows: stateprep_fitness_batch(template, rows)
+        fitness, _ = loss_functions(template)
         schedule = make_partition(template, PartitionStrategy("qubit_wise"), SeededRng(0))
         cfg = NesConfig(population=16, max_iterations=300)
-        _, trace = batch_optimize(lambda z: None, schedule,
+        _, trace = batch_optimize(fitness, schedule,
                                   SeededRng(3).uniform(30, 0, 2 * np.pi), 0.1, cfg,
-                                  SeededRng(3), variant="snes", fitness_batch=fitness_batch)
+                                  SeededRng(3), variant="snes")
         assert trace.losses[-1] < 0.2 * trace.losses[0]
 
     def test_invalid_variant(self):
         template = build_rpqc(4, 2, structure_seed=0)
         schedule = make_partition(template, PartitionStrategy("layer_wise"), SeededRng(0))
         with pytest.raises(ValueError, match="snes or xnes"):
-            batch_optimize(lambda z: 0.0, schedule, np.zeros(8), 0.1,
+            batch_optimize(lambda rows: np.zeros(len(rows)), schedule, np.zeros(8), 0.1,
                            NesConfig(population=4), SeededRng(0), variant="canonical")
 
     def test_sigma_must_be_positive(self):
         template = build_rpqc(4, 2, structure_seed=0)
         schedule = make_partition(template, PartitionStrategy("layer_wise"), SeededRng(0))
         with pytest.raises(ValueError, match="sigma"):
-            batch_optimize(lambda z: 0.0, schedule, np.zeros(8), 0.0,
+            batch_optimize(lambda rows: np.zeros(len(rows)), schedule, np.zeros(8), 0.0,
                            NesConfig(population=4), SeededRng(0))

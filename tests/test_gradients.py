@@ -11,13 +11,14 @@ from qnes.gradients import (
     gradient_descent,
     hybrid_optimize,
     local_cost_observable,
+    loss_functions,
     parameter_shift_expectation_gradient,
     stateprep_loss_gradient,
     surrogate_gradient_variance_scan,
 )
 from qnes.nes import NesConfig
 from qnes.numerics import SeededRng
-from qnes.simulator import Gate, PauliSum, stateprep_fitness
+from qnes.simulator import Gate, PauliSum
 from qnes.trace import RunTrace
 
 
@@ -33,6 +34,10 @@ def finite_difference(fn, params, h=1e-5):
         minus[j] -= h
         grad[j] = (fn(plus) - fn(minus)) / (2 * h)
     return grad
+
+
+def sphere(rows):
+    return np.sum(rows * rows, axis=1)
 
 
 def count_kernel_rows(monkeypatch):
@@ -151,14 +156,15 @@ class TestStateprepLossGradient:
         template = build_rpqc(4, 2, structure_seed=8)
         params = rng.uniform(template.num_params, 0, 2 * np.pi)
         grad = stateprep_loss_gradient(template, params)
-        fd = finite_difference(lambda p: stateprep_fitness(template, p), params)
+        loss, _ = loss_functions(template)
+        fd = finite_difference(lambda p: loss(p[None, :])[0], params)
         assert np.max(np.abs(grad - fd)) < 1e-6
 
 
 class TestGradientDescent:
     def test_quadratic_single_step(self):
         x, trace = gradient_descent(
-            lambda x: float(x[0] ** 2),
+            lambda rows: rows[:, 0] ** 2,
             lambda x: 2 * x,
             np.array([1.0]),
             GdConfig(learning_rate=0.4, max_iterations=1),
@@ -168,14 +174,14 @@ class TestGradientDescent:
 
     def test_zero_gradient_terminates_immediately(self):
         x, trace = gradient_descent(
-            lambda x: 1.0, lambda x: np.zeros(2), np.zeros(2),
+            lambda rows: np.ones(len(rows)), lambda x: np.zeros(2), np.zeros(2),
             GdConfig(learning_rate=0.1, max_iterations=50),
         )
         assert len(trace) == 1
 
     def test_evaluation_accounting(self):
         _, trace = gradient_descent(
-            lambda x: float(x @ x), lambda x: 2 * x, np.full(3, 2.0),
+            sphere, lambda x: 2 * x, np.full(3, 2.0),
             GdConfig(learning_rate=0.1, max_iterations=4),
         )
         assert trace.evaluations == [0, 7, 14, 21, 28]
@@ -184,7 +190,7 @@ class TestGradientDescent:
         trace = RunTrace()
         for it in range(3):
             trace.record(it, 4 * it, 1.0, 0.1)
-        gradient_descent(lambda x: float(x @ x), lambda x: 2 * x, np.full(3, 2.0),
+        gradient_descent(sphere, lambda x: 2 * x, np.full(3, 2.0),
                          GdConfig(learning_rate=0.1, max_iterations=2), trace)
         assert trace.iterations == [0, 1, 2, 3, 4]
         assert trace.evaluations == [0, 4, 8, 15, 22]
@@ -192,8 +198,9 @@ class TestGradientDescent:
 
     def test_divergence_raises(self):
         # anti-gradient blows the iterate up until the loss leaves the float range
-        def loss(x):
-            return float(x[0] * x[0]) if abs(x[0]) < 1e100 else float("inf")
+        def loss(rows):
+            x = rows[0, 0]
+            return np.array([float(x * x) if abs(x) < 1e100 else float("inf")])
 
         with pytest.raises(RuntimeError, match="diverged"):
             gradient_descent(
@@ -210,38 +217,41 @@ class TestVarianceScan:
     def test_constant_fitness_zero_variance(self):
         # f identically 0 makes the single-sided estimate exactly 0 per init
         h = PauliSum.build(2, [(0.0, {0: "Z"})])
+        template = build_rpqc(2, 1, structure_seed=0)
         config = VarianceScanConfig(
-            num_qubits=2, num_layers=1, structure_seed=0, num_inits=5,
+            num_inits=5,
             sigma_values=(0.5,), walker_counts=(2,), observable=h,
         )
-        rows = surrogate_gradient_variance_scan(config, SeededRng(0))
+        rows = surrogate_gradient_variance_scan(template, config, SeededRng(0))
         assert rows[0].variance_surrogate == 0.0
         assert rows[0].variance_exact == 0.0
 
     def test_trends_small_scale(self):
+        template = build_rpqc(4, 3, structure_seed=11)
         config = VarianceScanConfig(
-            num_qubits=4, num_layers=3, structure_seed=11, num_inits=200,
+            num_inits=200,
             sigma_values=(np.pi / 8, np.pi / 32), walker_counts=(1, 8),
             observable=local_cost_observable(4),
         )
-        rows = surrogate_gradient_variance_scan(config, SeededRng(1))
+        rows = surrogate_gradient_variance_scan(template, config, SeededRng(1))
         by_cell = {(r.sigma_init, r.walkers): r.variance_surrogate for r in rows}
         assert by_cell[(np.pi / 32, 1)] > by_cell[(np.pi / 8, 1)]
         assert by_cell[(np.pi / 32, 1)] > by_cell[(np.pi / 32, 8)]
 
     def test_symmetric_estimator_available(self):
+        template = build_rpqc(3, 2, structure_seed=3)
         config = VarianceScanConfig(
-            num_qubits=3, num_layers=2, structure_seed=3, num_inits=10,
+            num_inits=10,
             sigma_values=(0.3,), walker_counts=(2,),
             observable=local_cost_observable(3), estimator="symmetric",
         )
-        rows = surrogate_gradient_variance_scan(config, SeededRng(2))
+        rows = surrogate_gradient_variance_scan(template, config, SeededRng(2))
         assert np.isfinite(rows[0].variance_surrogate)
 
     def test_num_inits_floor(self):
         with pytest.raises(ValueError, match="num_inits"):
             VarianceScanConfig(
-                num_qubits=3, num_layers=2, structure_seed=0, num_inits=1,
+                num_inits=1,
                 sigma_values=(0.3,), walker_counts=(1,),
                 observable=local_cost_observable(3),
             )
@@ -253,14 +263,15 @@ class TestVarianceScan:
 
     @pytest.mark.parametrize("estimator", ["single", "symmetric"])
     def test_scan_matches_full_gradient_recomputation(self, monkeypatch, estimator):
+        template = build_rpqc(4, 3, structure_seed=5)
         config = VarianceScanConfig(
-            num_qubits=4, num_layers=3, structure_seed=5, num_inits=12,
+            num_inits=12,
             sigma_values=(0.4, 0.1), walker_counts=(1, 3),
             observable=local_cost_observable(4), estimator=estimator,
         )
-        rows = surrogate_gradient_variance_scan(config, SeededRng(3))
+        rows = surrogate_gradient_variance_scan(template, config, SeededRng(3))
         full_gradient_components(monkeypatch)
-        assert surrogate_gradient_variance_scan(config, SeededRng(3)) == rows
+        assert surrogate_gradient_variance_scan(template, config, SeededRng(3)) == rows
 
     @pytest.mark.parametrize("observable", [None, "local"])
     def test_analytical_variance_matches_full_gradient_recomputation(self, monkeypatch,
@@ -276,17 +287,17 @@ class TestVarianceScan:
                                                     component=component) == value
 
     def test_exact_column_costs_two_rows_per_init(self, monkeypatch):
+        template = build_rpqc(4, 5, structure_seed=1)
         config = VarianceScanConfig(
-            num_qubits=4, num_layers=5, structure_seed=1, num_inits=6,
+            num_inits=6,
             sigma_values=(0.3, 0.2), walker_counts=(1, 4),
             observable=local_cost_observable(4),
         )
         rows_seen = count_kernel_rows(monkeypatch)
-        surrogate_gradient_variance_scan(config, SeededRng(0))
+        surrogate_gradient_variance_scan(template, config, SeededRng(0))
         surrogate_rows = len(config.sigma_values) * sum(config.walker_counts)
         assert rows_seen["n"] == config.num_inits * (2 + surrogate_rows)
         rows_seen["n"] = 0
-        template = build_rpqc(4, 5, structure_seed=1)
         analytical_gradient_variance(template, None, 9, SeededRng(0))
         assert rows_seen["n"] == 2 * 9
 
@@ -301,12 +312,13 @@ class TestVarianceScan:
             return original(template, params, *args, **kwargs)
 
         monkeypatch.setattr(qnes.gradients, "parameter_shift_expectation_gradient", recording)
+        template = build_rpqc(3, 2, structure_seed=3)
         config = VarianceScanConfig(
-            num_qubits=3, num_layers=2, structure_seed=3, num_inits=4,
+            num_inits=4,
             sigma_values=(0.3,), walker_counts=(2,), observable=local_cost_observable(3),
         )
         rng = SeededRng(5)
-        surrogate_gradient_variance_scan(config, rng)
+        surrogate_gradient_variance_scan(template, config, rng)
         p = thetas[0].size
         assert np.array_equal(rng.stream(0).uniform(p, 0, 2 * np.pi), thetas[0])
         assert np.array_equal(rng.stream(3).uniform(p, 0, 2 * np.pi), thetas[3])
@@ -316,17 +328,25 @@ class TestVarianceScan:
         assert np.array_equal(rng.stream(1).uniform(p, 0, 2 * np.pi), thetas[1])
 
 
+def hybrid(template, warmup, nes_config, gd_config, rng, **kwargs):
+    """hybrid_optimize on the state-prep loss, from a start point drawn first from rng."""
+    mu0 = rng.uniform(template.num_params, 0, 2 * np.pi)
+    return hybrid_optimize(*loss_functions(template), mu0, warmup, nes_config, gd_config, rng,
+                           **kwargs)
+
+
 class TestHybridOptimize:
     def test_zero_warmup_is_pure_gradient_descent(self):
         template = build_rpqc(3, 2, structure_seed=9)
         rng = SeededRng(4)
         mu0 = rng.uniform(template.num_params, 0, 2 * np.pi)
+        loss, grad_fn = loss_functions(template)
         params, trace = hybrid_optimize(
-            template, 0, NesConfig(population=8), GdConfig(learning_rate=0.1, max_iterations=10),
-            SeededRng(4), initial_mu=mu0,
+            loss, grad_fn, mu0, 0, NesConfig(population=8),
+            GdConfig(learning_rate=0.1, max_iterations=10), SeededRng(4),
         )
         reference, ref_trace = gradient_descent(
-            lambda z: stateprep_fitness(template, z),
+            loss,
             lambda z: stateprep_loss_gradient(template, z),
             mu0, GdConfig(learning_rate=0.1, max_iterations=10),
         )
@@ -336,7 +356,7 @@ class TestHybridOptimize:
 
     def test_snapshots_at_init_and_after_warmup(self):
         template = build_rpqc(3, 3, structure_seed=2)
-        _, trace = hybrid_optimize(
+        _, trace = hybrid(
             template, 4, NesConfig(population=8),
             GdConfig(learning_rate=0.1, max_iterations=5), SeededRng(1),
         )
@@ -346,7 +366,7 @@ class TestHybridOptimize:
 
     def test_snapshot_interval(self):
         template = build_rpqc(3, 2, structure_seed=2)
-        _, trace = hybrid_optimize(
+        _, trace = hybrid(
             template, 6, NesConfig(population=8),
             GdConfig(learning_rate=0.1, max_iterations=2), SeededRng(1), snapshot_interval=2,
         )
@@ -354,7 +374,7 @@ class TestHybridOptimize:
 
     def test_trace_is_continuous_across_phases(self):
         template = build_rpqc(3, 2, structure_seed=2)
-        _, trace = hybrid_optimize(
+        _, trace = hybrid(
             template, 3, NesConfig(population=4),
             GdConfig(learning_rate=0.1, max_iterations=4), SeededRng(6),
         )

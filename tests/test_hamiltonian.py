@@ -4,14 +4,13 @@ import pytest
 from conftest import dense_pauli_string, random_template
 
 from qnes.ansatz import template_from_gates
+from qnes.gradients import loss_functions
 from qnes.hamiltonian import (
     bundled_hamiltonian_path,
     dense_matrix,
     exact_ground_energy,
     load_pauli_file,
     parse_pauli_file,
-    vqe_fitness,
-    vqe_fitness_batch,
 )
 from qnes.simulator import Gate, PauliSum
 
@@ -139,23 +138,27 @@ class TestExactGroundEnergy:
             exact_ground_energy(h)
 
 
+def energy(template, params, h):
+    return loss_functions(template, h)[0](np.asarray(params, dtype=float)[None, :])[0]
+
+
 class TestVqeFitness:
     def test_vacuum_expectation_of_z(self):
         template = template_from_gates(1, [])
         h = PauliSum.build(1, [(1.0, {0: "Z"})])
-        assert np.isclose(vqe_fitness(template, np.zeros(0), h), 1.0)
+        assert np.isclose(energy(template, np.zeros(0), h), 1.0)
 
     def test_flipped_qubit(self):
         template = template_from_gates(1, [Gate("RY", (0,), slot=0)])
         h = PauliSum.build(1, [(1.0, {0: "Z"})])
-        assert np.isclose(vqe_fitness(template, np.array([np.pi]), h), -1.0)
+        assert np.isclose(energy(template, np.array([np.pi]), h), -1.0)
 
     def test_batch_agrees(self, rng):
         template = random_template(rng, 3, 10)
         h = PauliSum.build(3, [(0.3, {0: "Z"}), (0.2, {1: "X", 2: "Y"})])
         rows = rng.uniform(4 * template.num_params, 0, 2 * np.pi).reshape(4, -1)
-        batch = vqe_fitness_batch(template, rows, h)
-        assert np.allclose(batch, [vqe_fitness(template, r, h) for r in rows], atol=1e-12)
+        batch = loss_functions(template, h)[0](rows)
+        assert np.allclose(batch, [energy(template, r, h) for r in rows], atol=1e-12)
 
     def test_variational_bound(self, rng):
         bundles = [
@@ -167,7 +170,7 @@ class TestVqeFitness:
             for _ in range(25):
                 template = random_template(rng, h.num_qubits, 12)
                 params = rng.uniform(template.num_params, 0, 2 * np.pi)
-                assert vqe_fitness(template, params, h) >= floor - 1e-9
+                assert energy(template, params, h) >= floor - 1e-9
 
 
 class TestBundledFile:

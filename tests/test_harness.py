@@ -6,7 +6,8 @@ import pytest
 
 from qnes.ansatz import AnsatzSpec
 from qnes.cli import main
-from qnes.hamiltonian import bundled_hamiltonian_path, load_pauli_file, vqe_fitness
+from qnes.gradients import loss_functions
+from qnes.hamiltonian import bundled_hamiltonian_path, load_pauli_file
 from qnes.harness import (
     ConfigError,
     load_config,
@@ -16,6 +17,8 @@ from qnes.harness import (
     summarize,
 )
 from qnes.numerics import SeededRng
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 STATEPREP_CONFIG = """
 [experiment]
@@ -159,7 +162,25 @@ class TestConfigParsing:
         assert config.echo["experiment.out"] == str(tmp_path / "o")
 
 
+    @pytest.mark.parametrize("preset", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+    def test_every_preset_loads(self, preset):
+        assert load_config(preset).seeds
+
+
 class TestRunExperiment:
+    def test_threaded_walkers_write_the_vectorized_data_rows(self, tmp_path):
+        def data_rows(workers):
+            out = tmp_path / f"workers{workers}"
+            run_experiment(load_config(CONFIGS / "batch_q10_l50_snes.ini", seeds=[0], out_dir=out,
+                                       overrides={"experiment.max_iterations": "2",
+                                                  "optimizer.workers": str(workers)}))
+            return {p.name: [line for line in p.read_text().splitlines()
+                             if not line.startswith("#")] for p in sorted(out.glob("*.csv"))}
+
+        threaded = data_rows(2)
+        assert len(threaded["trace_seed0.csv"]) == 4  # schema line plus iterations 0..2
+        assert threaded == data_rows(0)
+
     def test_stateprep_writes_traces_and_summary(self, tmp_path):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out=tmp_path / "out"))
         config = load_config(path)
@@ -386,7 +407,7 @@ class TestCli:
             assert config.batch_size == config.ansatz.build().num_params
 
     def test_preset_batch_size_above_parameter_count(self, tmp_path, capsys):
-        preset = Path(__file__).resolve().parents[1] / "configs" / "batch_q10_l50_snes.ini"
+        preset = CONFIGS / "batch_q10_l50_snes.ini"
         assert main(["run", str(preset), "--override", "batch.size=501",
                      "--override", f"experiment.out={tmp_path / 'o'}"]) == 2
         assert "[batch] size must be in [1, 500]" in capsys.readouterr().err
@@ -414,7 +435,8 @@ class TestCli:
         mu0 = SeededRng(4).uniform(template.num_params, 0.0, 2.0 * np.pi)
         h2 = load_pauli_file(bundled_hamiltonian_path("h2"))
         trace_path = tmp_path / "h" / trace_name
-        assert read_trace_csv(trace_path)["loss"][0] == vqe_fitness(template, mu0, h2)
+        loss, _ = loss_functions(template, h2)
+        assert read_trace_csv(trace_path)["loss"][0] == loss(mu0[None, :])[0]
         assert "# exact_ground_energy: -1.857275030202" in trace_path.read_text()
 
     def test_summarize_subcommand(self, tmp_path, capsys):
@@ -433,7 +455,7 @@ class TestCli:
 
     def test_summarize_reproduces_run_summary(self, tmp_path, capsys):
         # with 8 or more seeds numpy's pairwise sum of a column differs from a row-wise mean
-        preset = Path(__file__).resolve().parents[1] / "configs" / "stateprep_q5_l10_snes.ini"
+        preset = CONFIGS / "stateprep_q5_l10_snes.ini"
         out = tmp_path / "run"
         assert main(["run", str(preset), "--out", str(out),
                      "--override", "experiment.max_iterations=30"]) == 0

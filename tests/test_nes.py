@@ -22,11 +22,7 @@ from qnes.numerics import SeededRng
 from qnes.trace import RunTrace
 
 
-def sphere(z):
-    return float(np.sum(z * z))
-
-
-def sphere_batch(rows):
+def sphere(rows):
     return np.sum(rows * rows, axis=1)
 
 
@@ -187,7 +183,7 @@ class TestSnesStep:
         cfg = NesConfig(population=8)
         for _ in range(500):
             batch = sample_walkers(dist, 8, rng)
-            batch.fitnesses = sphere_batch(batch.points)
+            batch.fitnesses = sphere(batch.points)
             dist = snes_step(dist, batch, cfg)
             assert np.all(dist.sigma > 0)
 
@@ -210,7 +206,7 @@ class TestXnesStep:
         sep = SeparableDistribution(mu, np.array([0.4]))
         full = FullDistribution(mu, 0.4, np.eye(1))
         batch = sample_walkers(sep, 6, rng)
-        batch.fitnesses = sphere_batch(batch.points)
+        batch.fitnesses = sphere(batch.points)
         new_sep = snes_step(sep, batch, cfg)
         new_full = xnes_step(full, batch, cfg)
         assert np.allclose(new_full.mu, new_sep.mu, atol=1e-14)
@@ -223,7 +219,7 @@ class TestXnesStep:
         cfg = NesConfig(population=8)
         for _ in range(50):
             batch = sample_walkers(dist, 8, rng)
-            batch.fitnesses = sphere_batch(batch.points)
+            batch.fitnesses = sphere(batch.points)
             dist = xnes_step(dist, batch, cfg)
             assert abs(abs(np.linalg.det(dist.shape)) - 1.0) < 1e-8
 
@@ -279,9 +275,8 @@ class TestOptimize:
     def test_sphere_converges(self):
         rng = SeededRng(0)
         dist = SeparableDistribution(rng.uniform(4, -2, 2), np.ones(4))
-        mu, trace = optimize(sphere, dist, NesConfig(population=16, max_iterations=300),
-                             rng, fitness_batch=sphere_batch)
-        assert sphere(mu) < 1e-6
+        mu, trace = optimize(sphere, dist, NesConfig(population=16, max_iterations=300), rng)
+        assert sphere(mu[None, :])[0] < 1e-6
 
     def test_evaluation_accounting_is_k_per_iteration(self):
         rng = SeededRng(1)
@@ -289,7 +284,7 @@ class TestOptimize:
         _, trace = optimize(sphere, dist, NesConfig(population=7, max_iterations=9), rng)
         assert trace.evaluations == [7 * t for t in range(10)]
 
-    def test_serial_and_threaded_walkers_identical(self):
+    def test_vectorized_and_threaded_walkers_identical(self):
         def run(n_workers):
             rng = SeededRng(6)
             dist = SeparableDistribution(np.ones(3), np.full(3, 0.4))
@@ -297,19 +292,19 @@ class TestOptimize:
                                 rng, n_workers=n_workers)
             return trace
 
-        serial = run(0)
+        vectorized = run(0)
         threaded = run(3)
-        assert serial.losses == threaded.losses
-        assert serial.spreads == threaded.spreads
+        assert vectorized.losses == threaded.losses
+        assert vectorized.spreads == threaded.spreads
 
     def test_partial_trace_preserved_on_evaluation_error(self):
         calls = {"n": 0}
 
-        def flaky(z):
-            calls["n"] += 1
+        def flaky(rows):
+            calls["n"] += len(rows)
             if calls["n"] > 10:
                 raise RuntimeError("backend down")
-            return sphere(z)
+            return sphere(rows)
 
         rng = SeededRng(3)
         dist = SeparableDistribution(np.ones(2), np.full(2, 0.5))
@@ -328,7 +323,7 @@ class TestOptimize:
         dist = IsotropicDistribution(np.array([3.0, -1.0]), 0.3)
         mu, trace = optimize(sphere, dist, NesConfig(population=8, max_iterations=150,
                                                      eta_mu=0.05), rng)
-        assert sphere(mu) < sphere(np.array([3.0, -1.0]))
+        assert sphere(mu[None, :])[0] < sphere(np.array([[3.0, -1.0]]))[0]
 
     def test_xnes_stopping_uses_covariance_entries(self):
         dist = FullDistribution.isotropic(np.zeros(2), 1e-5)

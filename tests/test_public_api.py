@@ -12,10 +12,11 @@ from qnes.nes import FullDistribution, NesConfig
 MODULES = ["qnes"] + sorted(f"qnes.{m.name}" for m in pkgutil.iter_modules(qnes.__path__))
 
 REMOVED = {
-    "qnes.simulator": ["apply_gate"],
+    "qnes.simulator": ["apply_gate", "stateprep_fitness", "stateprep_fitness_batch"],
     "qnes.ansatz": ["template_from_text", "FAMILIES"],
     "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse"],
     "qnes.numerics": ["scale_from_factor"],
+    "qnes.hamiltonian": ["vqe_fitness", "vqe_fitness_batch"],
     "qnes.gradients": ["energy_loss_gradient"],
 }
 

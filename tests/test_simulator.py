@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import dense_pauli_string, dense_unitary, random_template
 
 from qnes.ansatz import build_rpqc, template_from_gates
+from qnes.gradients import loss_functions
 from qnes.simulator import (
     GATE_KINDS,
     ROTATION_KINDS,
@@ -16,8 +17,6 @@ from qnes.simulator import (
     pauli_expectation_batch,
     run_circuit,
     run_circuit_batch,
-    stateprep_fitness,
-    stateprep_fitness_batch,
     vacuum_projector_expectation,
     zero_state,
 )
@@ -67,7 +66,7 @@ class TestApplyGate:
             with pytest.raises(ValueError, match="finite"):
                 run_circuit_batch(template, rows)
             with pytest.raises(ValueError, match="finite"):
-                stateprep_fitness(template, rows[1])
+                loss_functions(template)[0](rows[1:2])
 
     @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "CZ"])
     def test_per_row_angles_match_row_by_row(self, rng, kind):
@@ -191,28 +190,32 @@ class TestVacuumProjector:
             assert -1e-12 <= value <= 1.0 + 1e-12
 
 
+def stateprep_loss(template, params):
+    return loss_functions(template)[0](np.asarray(params, dtype=float)[None, :])[0]
+
+
 class TestStateprepFitness:
     def test_identity_circuit_is_perfect(self):
         template = template_from_gates(2, [Gate("RZ", (0,), slot=0)])
-        assert stateprep_fitness(template, np.array([1.3])) < 1e-12
+        assert stateprep_loss(template, [1.3]) < 1e-12
 
     def test_half_pi(self):
-        assert np.isclose(stateprep_fitness(single_slot_template(), np.array([np.pi / 2])), 0.25)
+        assert np.isclose(stateprep_loss(single_slot_template(), [np.pi / 2]), 0.25)
 
     def test_full_pi(self):
-        assert np.isclose(stateprep_fitness(single_slot_template(), np.array([np.pi])), 1.0)
+        assert np.isclose(stateprep_loss(single_slot_template(), [np.pi]), 1.0)
 
     def test_batch_agrees(self, rng):
         template = build_rpqc(3, 2, structure_seed=1)
         rows = rng.uniform(5 * template.num_params, 0, 2 * np.pi).reshape(5, -1)
-        batch = stateprep_fitness_batch(template, rows)
-        single = [stateprep_fitness(template, r) for r in rows]
+        batch = loss_functions(template)[0](rows)
+        single = [stateprep_loss(template, r) for r in rows]
         assert np.allclose(batch, single, atol=1e-12)
 
     def test_range(self, rng):
         template = build_rpqc(4, 3, structure_seed=2)
         rows = rng.uniform(20 * template.num_params, 0, 2 * np.pi).reshape(20, -1)
-        values = stateprep_fitness_batch(template, rows)
+        values = loss_functions(template)[0](rows)
         assert np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-12)
 
 
