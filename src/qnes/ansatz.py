@@ -10,11 +10,12 @@ varying initializations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .numerics import SeededRng
-from .simulator import Gate, ROTATION_KINDS
+from .simulator import Gate, ROTATION_KINDS, compile_circuit
 
 BASIS_ROTATION_ANGLE = np.pi / 4
 
@@ -52,6 +53,11 @@ class CircuitTemplate:
             raise ValueError("parameter slots must cover 0..num_params-1 exactly once")
         if len(self.slot_layers) != self.num_params or len(self.slot_qubits) != self.num_params:
             raise ValueError("slot metadata length must equal num_params")
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The simulator's compiled ops and fixed angles, built on first use."""
+        return compile_circuit(self)
 
 
 def template_from_gates(

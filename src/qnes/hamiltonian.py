@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .simulator import PauliSum, _pauli_action
+from .simulator import PauliSum, _terms
 
 MAX_DENSE_QUBITS = 12
 
@@ -90,8 +90,7 @@ def dense_matrix(h: PauliSum) -> np.ndarray:
         raise ValueError(f"dense matrix limited to {MAX_DENSE_QUBITS} qubits, got {h.num_qubits}")
     rows = np.arange(1 << h.num_qubits)
     total = np.zeros((rows.size, rows.size), dtype=complex)
-    for coeff, paulis in h.terms:
-        perm, phase = _pauli_action(h.num_qubits, paulis)
+    for coeff, perm, phase in _terms(h, h.num_qubits):
         total[rows, rows if perm is None else perm] += coeff if phase is None else coeff * phase
     return total
 

@@ -9,14 +9,15 @@ Three variants, all minimizing a black-box fitness:
   exponential coordinates; the covariance factor is sigma * B.
 
 The fitness maps a (k, d) matrix of walker rows to k values, and is called once
-per generation, or once per row chunk on a thread pool; per-walker child random
-streams keep sampling independent of the execution schedule.
+per generation, or once per row chunk on the run's thread pool; per-walker child
+random streams keep sampling independent of the execution schedule.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -276,20 +277,16 @@ def xnes_step(dist: FullDistribution, batch: WalkerBatch, config: NesConfig) -> 
     return FullDistribution(mu=mu, sigma=sigma * drift, shape=shape / drift)
 
 
-def make_evaluator(fitness, n_workers: int = 0):
-    """Row-matrix fitness evaluator: one call, or one call per row chunk on n_workers threads.
+def _walker_fitnesses(fitness, points: np.ndarray, pool, n_workers: int) -> np.ndarray:
+    """Fitness of every walker row: one call, or one call per row chunk on the pool.
 
     Rows are evaluated independently, so both give each row the same value; chunks
     are never empty and are gathered in walker order.
     """
-    if n_workers <= 1:
-        return lambda points: np.asarray(fitness(points), dtype=float)
-
-    def threaded(points):
-        chunks = np.array_split(points, min(n_workers, len(points)))
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return np.concatenate([np.asarray(v, dtype=float) for v in pool.map(fitness, chunks)])
-    return threaded
+    if pool is None:
+        return np.asarray(fitness(points), dtype=float)
+    chunks = np.array_split(points, min(n_workers, len(points)))
+    return np.concatenate([np.asarray(v, dtype=float) for v in pool.map(fitness, chunks)])
 
 
 def optimize(
@@ -328,25 +325,25 @@ def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: Se
     if config.population < needed:
         raise ValueError(f"population must be >= {needed} for fitness shaping")
     spreads = [dist.spread() for dist in dists]
-    evaluator = make_evaluator(fitness, n_workers)
     if trace is None:
         trace = RunTrace()
     evaluations = 0
-    trace.record(0, evaluations, evaluator(mu[None, :])[0], max(spreads))
-    for iteration in range(1, config.max_iterations + 1):
-        if max(spreads) <= config.stop_threshold:
-            break
-        active = (iteration - 1) % len(blocks)
-        idx = blocks[active][0]
-        batch = sample_walkers(dists[active], config.population, rng)
-        points = np.repeat(mu[None, :], config.population, axis=0)
-        points[:, idx] = batch.points
-        batch.fitnesses = evaluator(points)
-        dist = dists[active] = dists[active].step(batch, config)
-        spreads[active] = dist.spread()
-        mu[idx] = dist.mu
-        evaluations += config.population
-        trace.record(iteration, evaluations, evaluator(mu[None, :])[0], max(spreads), active)
-        if callback is not None:
-            callback(iteration, dist)
+    trace.record(0, evaluations, fitness(mu[None, :])[0], max(spreads))
+    with ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext() as pool:
+        for iteration in range(1, config.max_iterations + 1):
+            if max(spreads) <= config.stop_threshold:
+                break
+            active = (iteration - 1) % len(blocks)
+            idx = blocks[active][0]
+            batch = sample_walkers(dists[active], config.population, rng)
+            points = np.repeat(mu[None, :], config.population, axis=0)
+            points[:, idx] = batch.points
+            batch.fitnesses = _walker_fitnesses(fitness, points, pool, n_workers)
+            dist = dists[active] = dists[active].step(batch, config)
+            spreads[active] = dist.spread()
+            mu[idx] = dist.mu
+            evaluations += config.population
+            trace.record(iteration, evaluations, fitness(mu[None, :])[0], max(spreads), active)
+            if callback is not None:
+                callback(iteration, dist)
     return mu, trace

@@ -9,12 +9,18 @@ Every Pauli action, whether inside a rotation gate or as an observable term, is 
 index permutation and one phase vector: P|psi> = phase * psi[perm]. States are
 either a single vector of shape (2**Q,) or a batch of shape (B, 2**Q); batched
 runs evaluate many parameter vectors of the same circuit at once.
+
+Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
+`template.plan`), with each run of adjacent CZ gates as one sign vector; a Pauli
+sum into a (coeff, perm, phase) table per state width (`_terms`), shared by the
+observable and the dense ground-energy oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -108,19 +114,12 @@ def norm_squared(state: np.ndarray) -> np.ndarray | float:
     return np.sum(state.real**2 + state.imag**2, axis=-1)
 
 
-def _rows(state: np.ndarray) -> np.ndarray:
-    return state.reshape(1, -1) if state.ndim == 1 else state
-
-
-def _check_target(q: int, num_qubits: int) -> None:
-    if not 0 <= q < num_qubits:
-        raise IndexError(f"qubit {q} out of range for {num_qubits} qubits")
-
-
 # R_P(theta) = cos(theta/2) I - i sin(theta/2) P is applied as full-array
 # operations: the Pauli action is a gather through a cached index permutation
 # and/or a multiply by a cached phase vector, so per-row coefficients broadcast
-# over long inner loops instead of short strided slices.
+# over long inner loops instead of short strided slices. The primitives are
+# cached per qubit and per CZ run, so the gates, plans and observable terms that
+# act alike share one array instead of each holding a copy.
 
 
 @lru_cache(maxsize=512)
@@ -141,10 +140,11 @@ def _z_sign(num_qubits: int, qubit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _cz_sign(num_qubits: int, q_a: int, q_b: int) -> np.ndarray:
+def _cz_sign(num_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Diagonal of a run of CZ gates: -1 where an odd number of pairs have both bits set."""
     idx = np.arange(1 << num_qubits)
-    both = ((idx >> q_a) & 1) & ((idx >> q_b) & 1)
-    return 1.0 - 2.0 * both
+    both = sum(((idx >> q_a) & (idx >> q_b) & 1) for q_a, q_b in pairs)
+    return 1.0 - 2.0 * (both & 1)
 
 
 def _pauli_action(num_qubits: int, paulis) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -165,52 +165,29 @@ def _pauli_action(num_qubits: int, paulis) -> tuple[np.ndarray | None, np.ndarra
     return (perm ^ mask if mask else perm), phase
 
 
-def _gate_op(num_qubits: int, gate: Gate, rot_index: int) -> tuple:
-    if gate.kind == "CZ":
-        return ("cz", _cz_sign(num_qubits, gate.qubits[0], gate.qubits[1]))
-    return ("rot", *_pauli_action(num_qubits, ((gate.qubits[0], gate.kind[1]),)), rot_index)
+def compile_circuit(template) -> tuple[tuple, np.ndarray]:
+    """(ops, fixed): the template as kernel ops, and its fixed angles in gate order.
 
-
-def _evolve(state: np.ndarray, ops, cos_half: np.ndarray, minus_i_sin: np.ndarray) -> None:
-    """Apply compiled ops in place to (B, 2**Q) rows; rotation i takes column i of the angles."""
-    tmp = np.empty_like(state)
-    buf = np.empty_like(state)
-    for op in ops:
-        if op[0] == "cz":
-            np.multiply(state, op[1], out=state)
+    Each op is (perm, phase, column). A rotation takes its angle from `column` of
+    the matrix [parameter rows | fixed angles]: its slot, or P plus its place among
+    the fixed-angle gates. A run of adjacent CZ gates is one op with column None
+    whose phase is the run's sign vector.
+    """
+    ops, fixed = [], []
+    for is_cz, gates in groupby(template.gates, key=lambda g: g.kind == "CZ"):
+        if is_cz:
+            pairs = tuple(g.qubits for g in gates)
+            ops.append((None, _cz_sign(template.num_qubits, pairs), None))
             continue
-        _, perm, phase, i = op
-        if perm is None:
-            np.multiply(state, phase, out=tmp)
-        else:
-            np.take(state, perm, axis=1, out=tmp, mode="clip")
-            if phase is not None:
-                tmp *= phase
-        np.multiply(state, cos_half[:, i, None], out=buf)
-        np.multiply(tmp, minus_i_sin[:, i, None], out=tmp)
-        np.add(buf, tmp, out=state)
-
-
-@lru_cache(maxsize=64)
-def _compiled(template) -> tuple:
-    """Template resolved to kernel ops (rotation order + slot/fixed angle split)."""
-    ops = []  # ("rot", perm, phase, rot_index) | ("cz", sign)
-    rot_slots = []   # (rot_index, slot) pairs
-    rot_fixed = []   # (rot_index, angle) pairs
-    n_rot = 0
-    for g in template.gates:
-        ops.append(_gate_op(template.num_qubits, g, n_rot))
-        if g.kind != "CZ":
-            if g.slot is not None:
-                rot_slots.append((n_rot, g.slot))
+        for gate in gates:
+            if gate.slot is not None:
+                column = gate.slot
             else:
-                rot_fixed.append((n_rot, g.angle))
-            n_rot += 1
-    slot_pos = np.array([i for i, _ in rot_slots], dtype=np.intp)
-    slot_idx = np.array([s for _, s in rot_slots], dtype=np.intp)
-    fixed_pos = np.array([i for i, _ in rot_fixed], dtype=np.intp)
-    fixed_val = np.array([a for _, a in rot_fixed], dtype=float)
-    return tuple(ops), n_rot, slot_pos, slot_idx, fixed_pos, fixed_val
+                column = template.num_params + len(fixed)
+                fixed.append(gate.angle)
+            perm, phase = _pauli_action(template.num_qubits, ((gate.qubits[0], gate.kind[1]),))
+            ops.append((perm, phase, column))
+    return tuple(ops), np.array(fixed, dtype=float)
 
 
 def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
@@ -222,16 +199,26 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(param_rows).all():
         raise ValueError("parameter rows must be finite")
-    ops, n_rot, slot_pos, slot_idx, fixed_pos, fixed_val = _compiled(template)
+    ops, fixed = template.plan
     b = param_rows.shape[0]
-    angles = np.empty((b, n_rot), dtype=float)
-    if slot_pos.size:
-        angles[:, slot_pos] = param_rows[:, slot_idx]
-    if fixed_pos.size:
-        angles[:, fixed_pos] = fixed_val
-    half = 0.5 * angles
+    half = 0.5 * np.hstack([param_rows, np.broadcast_to(fixed, (b, fixed.size))])
+    cos_half, minus_i_sin = np.cos(half), -1j * np.sin(half)
     state = zero_state(template.num_qubits, batch=b)
-    _evolve(state, ops, np.cos(half), -1j * np.sin(half))
+    tmp = np.empty_like(state)
+    buf = np.empty_like(state)
+    for perm, phase, column in ops:
+        if column is None:
+            np.multiply(state, phase, out=state)
+            continue
+        if perm is None:
+            np.multiply(state, phase, out=tmp)
+        else:
+            np.take(state, perm, axis=1, out=tmp, mode="clip")
+            if phase is not None:
+                tmp *= phase
+        np.multiply(state, cos_half[:, column, None], out=buf)
+        np.multiply(tmp, minus_i_sin[:, column, None], out=tmp)
+        np.add(buf, tmp, out=state)
     drift = np.max(np.abs(norm_squared(state) - 1.0))
     if not drift <= NORM_TOL:
         raise RuntimeError(f"statevector norm drifted by {drift:.3e}")
@@ -255,26 +242,26 @@ def vacuum_projector_expectation(state: np.ndarray) -> np.ndarray | float:
     return value if np.ndim(value) else float(value)
 
 
-def apply_pauli_string(state: np.ndarray, paulis: tuple[tuple[int, str], ...]) -> np.ndarray:
-    """P|psi> for a single Pauli string; returns a new array."""
-    nq = num_qubits_of(state)
-    for q, _ in paulis:
-        _check_target(q, nq)
-    perm, phase = _pauli_action(nq, paulis)
-    out = state.copy() if perm is None else np.take(state, perm, axis=-1)
-    if phase is not None:
-        out *= phase
-    return out
+@lru_cache(maxsize=64)
+def _terms(h: PauliSum, num_qubits: int) -> tuple:
+    """(coeff, perm, phase) per term of h, acting on states of num_qubits qubits."""
+    return tuple((coeff, *_pauli_action(num_qubits, paulis)) for coeff, paulis in h.terms)
 
 
 def pauli_expectation_batch(state: np.ndarray, h: PauliSum) -> np.ndarray:
-    rows = _rows(state)
-    if num_qubits_of(rows) < h.num_qubits:
+    rows = np.atleast_2d(state)
+    num_qubits = num_qubits_of(rows)
+    if num_qubits < h.num_qubits:
         raise ValueError("observable acts on more qubits than the state has")
     total = np.zeros(rows.shape[0], dtype=complex)
     conj = np.conj(rows)
-    for coeff, paulis in h.terms:
-        phi = rows if not paulis else apply_pauli_string(rows, paulis)
+    for coeff, perm, phase in _terms(h, num_qubits):
+        if perm is None:
+            phi = rows if phase is None else rows * phase
+        else:
+            phi = np.take(rows, perm, axis=-1)
+            if phase is not None:
+                phi *= phase
         total += coeff * np.sum(conj * phi, axis=-1)
     residue = np.max(np.abs(total.imag)) if total.size else 0.0
     if residue > IMAG_RESIDUE_TOL:

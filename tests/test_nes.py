@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qnes import nes
 from qnes.nes import (
     FullDistribution,
     IsotropicDistribution,
@@ -296,6 +297,23 @@ class TestOptimize:
         threaded = run(3)
         assert vectorized.losses == threaded.losses
         assert vectorized.spreads == threaded.spreads
+
+    def test_threaded_run_opens_one_pool(self, monkeypatch):
+        pools = []
+
+        class CountingPool(nes.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(nes, "ThreadPoolExecutor", CountingPool)
+        dist = SeparableDistribution(np.ones(3), np.full(3, 0.4))
+        _, trace = optimize(sphere, dist, NesConfig(population=6, max_iterations=20),
+                            SeededRng(6), n_workers=2)
+        assert len(trace) == 21 and len(pools) == 1
+        _, trace = optimize(sphere, dist, NesConfig(population=6, max_iterations=20),
+                            SeededRng(6), n_workers=0)
+        assert len(pools) == 1
 
     def test_partial_trace_preserved_on_evaluation_error(self):
         calls = {"n": 0}

@@ -12,7 +12,8 @@ from qnes.nes import FullDistribution, NesConfig
 MODULES = ["qnes"] + sorted(f"qnes.{m.name}" for m in pkgutil.iter_modules(qnes.__path__))
 
 REMOVED = {
-    "qnes.simulator": ["apply_gate", "stateprep_fitness", "stateprep_fitness_batch"],
+    "qnes.simulator": ["apply_gate", "stateprep_fitness", "stateprep_fitness_batch",
+                       "apply_pauli_string"],
     "qnes.ansatz": ["template_from_text", "FAMILIES"],
     "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse"],
     "qnes.numerics": ["scale_from_factor"],

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import dense_pauli_string, dense_unitary, random_template
 
+from qnes import ansatz
 from qnes.ansatz import build_rpqc, template_from_gates
 from qnes.gradients import loss_functions
 from qnes.simulator import (
@@ -11,7 +12,7 @@ from qnes.simulator import (
     ROTATION_KINDS,
     Gate,
     PauliSum,
-    apply_pauli_string,
+    compile_circuit,
     norm_squared,
     pauli_expectation,
     pauli_expectation_batch,
@@ -117,8 +118,45 @@ class TestDenseOracleProperty:
     @example((flipped(3, 0, 2, then=[Gate("CZ", (0, 2))]), np.zeros((2, 0))))
     @example((flipped(4, 1, 3, then=[Gate("RX", (0,), slot=0), Gate("CZ", (3, 1))]),
               np.array([[0.4], [1.9], [-0.8], [2.5], [6.0]])))
+    @example((template_from_gates(4, [Gate("CZ", (0, 1)), Gate("CZ", (1, 2)), Gate("CZ", (2, 3)),
+                                      Gate("RY", (1,), slot=0), Gate("RX", (3,), slot=1),
+                                      Gate("CZ", (1, 3))]),
+              np.array([[0.9, -1.7], [2.6, 0.4]])))
+    @example((flipped(3, 0, then=[Gate("RX", (1,), slot=0), Gate("RY", (2,), angle=1.2),
+                                  Gate("CZ", (0, 1)), Gate("CZ", (1, 2))]),
+              np.array([[0.5], [-2.2], [3.1]])))
+    @example((template_from_gates(5, [Gate("RY", (q,), angle=0.3 + q) for q in range(5)]
+                                  + [Gate("CZ", (4, 0)), Gate("CZ", (3, 1)), Gate("CZ", (2, 0)),
+                                     Gate("CZ", (1, 0)), Gate("RZ", (0,), slot=0),
+                                     Gate("RX", (2,), slot=1)]),
+              np.array([[1.3, -0.6], [-2.9, 2.0]])))
+    @example((template_from_gates(3, [Gate("CZ", (0, 1)), Gate("CZ", (2, 1)), Gate("CZ", (0, 2))]),
+              np.zeros((2, 0))))
     def test_batch_rows_match_dense_columns(self, case):
         assert_rows_match_dense(*case)
+
+
+class TestCompiledPlan:
+    def test_template_compiles_once(self, monkeypatch):
+        calls = []
+
+        def counting(template):
+            calls.append(template)
+            return compile_circuit(template)
+
+        monkeypatch.setattr(ansatz, "compile_circuit", counting)
+        template = build_rpqc(3, 2, structure_seed=7)
+        rows = np.zeros((2, template.num_params))
+        assert np.array_equal(run_circuit_batch(template, rows), run_circuit_batch(template, rows))
+        assert calls == [template]
+
+    def test_cz_runs_are_one_shared_op(self):
+        template = build_rpqc(10, 50, structure_seed=11)
+        ops, fixed = template.plan
+        assert len(template.gates) == 960 and len(ops) == 560
+        cz = [phase for _, phase, column in ops if column is None]
+        assert len(cz) == 50 and all(phase is cz[0] for phase in cz)
+        assert np.array_equal(fixed, np.full(10, np.pi / 4))
 
 
 class TestRunCircuit:
@@ -265,12 +303,13 @@ class TestPauliExpectation:
 
     def test_pauli_string_matches_dense(self, rng):
         paulis = ((0, "Y"), (2, "X"))
+        h = PauliSum(3, ((1.0, paulis),))
         for _ in range(10):
             template = random_template(rng, 3, 10)
             params = rng.uniform(template.num_params, 0, 2 * np.pi)
             state = run_circuit(template, params)
-            assert np.allclose(apply_pauli_string(state, paulis),
-                               dense_pauli_string(paulis, 3) @ state, atol=1e-12)
+            expected = np.vdot(state, dense_pauli_string(paulis, 3) @ state).real
+            assert np.isclose(pauli_expectation_batch(state, h)[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("alphabet, flips", [
         ("", 0),     # identity
@@ -291,10 +330,28 @@ class TestPauliExpectation:
                 qubits = rng.permutation(q)[:size]
                 letters = [pick("XY") if j < flips else pick(alphabet) for j in range(size)]
                 paulis = tuple(sorted((int(b), p) for b, p in zip(qubits, letters)))
-                expected = states @ dense_pauli_string(paulis, q).T
-                assert np.allclose(apply_pauli_string(states, paulis), expected, atol=1e-12)
-                assert np.allclose(apply_pauli_string(states[0], paulis), expected[0],
+                h = PauliSum(q, ((1.0, paulis),))
+                applied = states @ dense_pauli_string(paulis, q).T
+                expected = np.sum(np.conj(states) * applied, axis=1).real
+                assert np.allclose(pauli_expectation_batch(states, h), expected, atol=1e-12)
+                assert np.allclose(pauli_expectation_batch(states[0], h), expected[:1],
                                    atol=1e-12)
+
+    def test_narrower_observable_acts_on_the_low_qubits(self, rng):
+        terms = ((0.7, ((0, "Y"), (1, "X"))), (-0.4, ((1, "Z"),)), (0.2, ()))
+        h = PauliSum(2, terms)
+        for q in (2, 4):  # the width-2 call first, so a term table keyed on h alone would fail
+            template = random_template(rng, q, 16)
+            rows = rng.uniform(3 * template.num_params, 0, 2 * np.pi).reshape(3, -1)
+            states = run_circuit_batch(template, rows)
+            dense = sum(c * dense_pauli_string(paulis, q) for c, paulis in terms)
+            expected = np.sum(np.conj(states) * (states @ dense.T), axis=1).real
+            assert np.allclose(pauli_expectation_batch(states, h), expected, atol=1e-12)
+
+    def test_wider_observable_rejected(self):
+        h = PauliSum.build(3, [(1.0, {2: "Z"})])
+        with pytest.raises(ValueError, match="acts on more qubits than the state has"):
+            pauli_expectation_batch(zero_state(2, batch=2), h)
 
 
 class TestGateValidation:
