@@ -1,6 +1,11 @@
-"""Pauli-sum Hamiltonian files and the dense diagonalization oracle of their ground energy.
+"""Pauli-sum Hamiltonian files and the Lanczos oracle of their ground energy.
 
 The energy loss a VQE run minimizes is `gradients.loss_functions(template, h)`.
+`exact_ground_energy(h)` is the reference it is scored against: the lowest
+eigenvalue, found by Lanczos iteration (Lanczos 1950; Paige 1976) that applies H
+through the same compiled term table as the loss (`simulator._terms`). It holds a
+few state-sized vectors and never the 2**Q x 2**Q matrix, so it has no qubit
+ceiling of its own.
 
 File format (UTF-8 text): `#` starts a comment; the first content line is
 `qubits <N>`; every other content line is `<coefficient> <P><q> [<P><q> ...]`
@@ -23,7 +28,8 @@ import numpy as np
 
 from .simulator import PauliSum, _terms
 
-MAX_DENSE_QUBITS = 12
+LANCZOS_MAX_STEPS = 1000
+LANCZOS_RTOL = 1e-13  # relative to sum|coeff|, a bound on the spectral radius
 
 _PAULI_TOKEN = re.compile(r"^([A-Za-z])(\d+)$")
 
@@ -81,27 +87,56 @@ def load_pauli_file(path) -> PauliSum:
     return parse_pauli_file(Path(path).read_text(encoding="utf-8"))
 
 
-def dense_matrix(h: PauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of the Pauli sum (qubit 0 = least significant bit).
-
-    Row i of a Pauli string P holds phase[i] at column perm[i], since P|psi> = phase * psi[perm].
-    """
-    if h.num_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense matrix limited to {MAX_DENSE_QUBITS} qubits, got {h.num_qubits}")
-    rows = np.arange(1 << h.num_qubits)
-    total = np.zeros((rows.size, rows.size), dtype=complex)
-    for coeff, perm, phase in _terms(h, h.num_qubits):
-        total[rows, rows if perm is None else perm] += coeff if phase is None else coeff * phase
-    return total
-
-
 def exact_ground_energy(h: PauliSum) -> float:
-    """Minimum eigenvalue of the dense Hermitian matrix (feasible up to 12 qubits).
+    """Lowest eigenvalue of the Pauli sum, by the Lanczos three-term recurrence.
 
-    Real symmetric, and diagonalized as such, when every term has an even number of Y factors.
+    Identity terms are a constant shift. The rest act as sum(coeff * phase * v[perm])
+    on a fixed-seed start vector, in real arithmetic when no term has an odd number of
+    Y factors. It stops when the lowest Ritz pair's residual |beta * y_last|, or beta
+    (an invariant subspace), is at most LANCZOS_RTOL * sum|coeff|, and raises
+    RuntimeError rather than return a value unconverged after LANCZOS_MAX_STEPS steps.
     """
-    m = dense_matrix(h)
-    return float(np.linalg.eigvalsh(m.real if not m.imag.any() else m)[0])
+    table = _terms(h, h.num_qubits)
+    shift = sum(coeff for coeff, perm, phase in table if perm is None and phase is None)
+    terms = [term for term in table if term[1] is not None or term[2] is not None]
+    if not terms:
+        return float(shift)
+    real = not any(sum(p == "Y" for _, p in paulis) % 2 for _, paulis in h.terms)
+    tol = LANCZOS_RTOL * sum(abs(coeff) for coeff, _, _ in terms)
+    dim = 1 << h.num_qubits
+    diag = sum((coeff * phase for coeff, perm, phase in terms if perm is None), np.zeros(dim))
+    flips = [term for term in terms if term[1] is not None]
+
+    gen = np.random.default_rng(0)
+    v = gen.standard_normal(dim)
+    if not real:
+        v = v + 1j * gen.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    v_prev, w, tmp = np.zeros_like(v), np.empty_like(v), np.empty_like(v)
+    alphas, betas, beta, next_check = [], [], 0.0, 4
+    for step in range(1, LANCZOS_MAX_STEPS + 1):
+        np.multiply(v, diag, out=w)  # w = H v
+        for coeff, perm, phase in flips:
+            np.take(v, perm, out=tmp, mode="clip")
+            if phase is not None:
+                np.multiply(tmp, phase.real if real else phase, out=tmp)
+            np.multiply(tmp, coeff, out=tmp)
+            np.add(w, tmp, out=w)
+        alpha = np.vdot(v, w).real
+        np.subtract(w, np.multiply(v, alpha, out=tmp), out=w)
+        np.subtract(w, np.multiply(v_prev, beta, out=tmp), out=w)
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        if beta <= tol or step == next_check:
+            next_check += max(4, step // 8)  # every 4 steps, then every eighth of the size
+            tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            ritz, vectors = np.linalg.eigh(tridiagonal)
+            if beta <= tol or abs(beta * vectors[-1, 0]) <= tol:
+                return float(shift + ritz[0])
+        betas.append(beta)
+        np.divide(w, beta, out=w)
+        v_prev, v, w = v, w, v_prev
+    raise RuntimeError(f"Lanczos ground energy did not converge in {LANCZOS_MAX_STEPS} steps")
 
 
 def bundled_hamiltonian_path(name: str = "h2") -> Path:

@@ -31,7 +31,6 @@ from .gradients import (
     surrogate_gradient_variance_scan,
 )
 from .hamiltonian import (
-    MAX_DENSE_QUBITS,
     bundled_hamiltonian_path,
     exact_ground_energy,
     load_pauli_file,
@@ -366,7 +365,7 @@ def _problem(config: ExperimentConfig, template):
     """
     h = config.hamiltonian
     extra = {}
-    if h is not None and h.num_qubits <= MAX_DENSE_QUBITS:
+    if h is not None:
         reference = exact_ground_energy(h)
         extra["exact_ground_energy"] = repr(reference)
         print(f"exact_ground_energy = {reference!r}")

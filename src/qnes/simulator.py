@@ -13,11 +13,13 @@ runs evaluate many parameter vectors of the same circuit at once.
 Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
 `template.plan`), with each run of adjacent CZ gates as one sign vector; a Pauli
 sum into a (coeff, perm, phase) table per state width (`_terms`), shared by the
-observable and the dense ground-energy oracle.
+observable and the Lanczos ground-energy oracle. The kernel and the observable
+take their state-sized temporaries from per-thread scratch buffers (`_scratch`).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -111,7 +113,9 @@ def zero_state(num_qubits: int, batch: int | None = None) -> np.ndarray:
 
 
 def norm_squared(state: np.ndarray) -> np.ndarray | float:
-    return np.sum(state.real**2 + state.imag**2, axis=-1)
+    """Sum of squared amplitudes along the last axis, with no state-sized temporary."""
+    parts = np.ascontiguousarray(state, dtype=complex).view(float)
+    return np.einsum("...i,...i->...", parts, parts)
 
 
 # R_P(theta) = cos(theta/2) I - i sin(theta/2) P is applied as full-array
@@ -165,6 +169,31 @@ def _pauli_action(num_qubits: int, paulis) -> tuple[np.ndarray | None, np.ndarra
     return (perm ^ mask if mask else perm), phase
 
 
+class _ScratchStore(threading.local):
+    def __init__(self):
+        self.by_width = {}
+
+
+_SCRATCH = _ScratchStore()
+
+
+def _scratch(shape: tuple[int, int], count: int) -> tuple[np.ndarray, ...]:
+    """`count` complex arrays of `shape` (rows, width) that this thread reuses across calls.
+
+    Each thread holds one block per state width, grown to the largest row and array
+    counts it has been asked for; the arrays are its leading rows. Reusing them keeps
+    the hot loop off the allocator: a freshly allocated 256 KiB temporary per call
+    can cost a page fault per 4 KiB page.
+    """
+    rows, width = shape
+    block = _SCRATCH.by_width.get(width)
+    if block is None or block.shape[0] < count or block.shape[1] < rows:
+        held = (0, 0) if block is None else block.shape[:2]
+        block = np.empty((max(count, held[0]), max(rows, held[1]), width), dtype=complex)
+        _SCRATCH.by_width[width] = block
+    return tuple(block[i, :rows] for i in range(count))
+
+
 def compile_circuit(template) -> tuple[tuple, np.ndarray]:
     """(ops, fixed): the template as kernel ops, and its fixed angles in gate order.
 
@@ -204,8 +233,7 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
     half = 0.5 * np.hstack([param_rows, np.broadcast_to(fixed, (b, fixed.size))])
     cos_half, minus_i_sin = np.cos(half), -1j * np.sin(half)
     state = zero_state(template.num_qubits, batch=b)
-    tmp = np.empty_like(state)
-    buf = np.empty_like(state)
+    tmp, buf = _scratch(state.shape, 2)
     for perm, phase, column in ops:
         if column is None:
             np.multiply(state, phase, out=state)
@@ -249,20 +277,21 @@ def _terms(h: PauliSum, num_qubits: int) -> tuple:
 
 
 def pauli_expectation_batch(state: np.ndarray, h: PauliSum) -> np.ndarray:
-    rows = np.atleast_2d(state)
+    rows = np.atleast_2d(np.asarray(state, dtype=complex))
     num_qubits = num_qubits_of(rows)
     if num_qubits < h.num_qubits:
         raise ValueError("observable acts on more qubits than the state has")
     total = np.zeros(rows.shape[0], dtype=complex)
-    conj = np.conj(rows)
+    conj, phi, prod = _scratch(rows.shape, 3)
+    np.conjugate(rows, out=conj)
     for coeff, perm, phase in _terms(h, num_qubits):
         if perm is None:
-            phi = rows if phase is None else rows * phase
+            term = rows if phase is None else np.multiply(rows, phase, out=phi)
         else:
-            phi = np.take(rows, perm, axis=-1)
+            term = np.take(rows, perm, axis=-1, out=phi, mode="clip")
             if phase is not None:
-                phi *= phase
-        total += coeff * np.sum(conj * phi, axis=-1)
+                term *= phase
+        total += coeff * np.sum(np.multiply(conj, term, out=prod), axis=-1)
     residue = np.max(np.abs(total.imag)) if total.size else 0.0
     if residue > IMAG_RESIDUE_TOL:
         raise RuntimeError(f"expectation has imaginary residue {residue:.3e}")

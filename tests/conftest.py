@@ -46,10 +46,11 @@ PAULI_MATRICES = {
 
 
 def dense_pauli_string(paulis, num_qubits):
-    """Dense matrix of one Pauli string from Kronecker-embedded single-qubit factors."""
-    dense = np.eye(2**num_qubits, dtype=complex)
-    for q, p in paulis:
-        dense = embed_single_qubit(PAULI_MATRICES[p], q, num_qubits) @ dense
+    """Dense matrix of one Pauli string: the Kronecker product of its single-qubit factors."""
+    letters = dict(paulis)
+    dense = np.array([[1.0]], dtype=complex)
+    for q in range(num_qubits):
+        dense = np.kron(PAULI_MATRICES[letters[q]] if q in letters else np.eye(2), dense)
     return dense
 
 

@@ -5,14 +5,14 @@ from conftest import dense_pauli_string, random_template
 
 from qnes.ansatz import template_from_gates
 from qnes.gradients import loss_functions
+from qnes import hamiltonian
 from qnes.hamiltonian import (
     bundled_hamiltonian_path,
-    dense_matrix,
     exact_ground_energy,
     load_pauli_file,
     parse_pauli_file,
 )
-from qnes.simulator import Gate, PauliSum
+from qnes.simulator import Gate, PauliSum, _terms
 
 
 class TestParsePauliFile:
@@ -60,14 +60,28 @@ class TestParsePauliFile:
             parse_pauli_file("qubits 1\n1.0\n")
 
 
-def random_pauli_sum(gen, num_qubits):
-    """1 to 6 random terms on random supports (the identity included) with X, Y and Z factors."""
+def random_pauli_sum(gen, num_qubits, max_terms=6):
+    """1 to max_terms random terms on random supports (the identity included), X, Y and Z."""
     terms = []
-    for _ in range(gen.integers(1, 7)):
+    for _ in range(gen.integers(1, max_terms + 1)):
         support = gen.permutation(num_qubits)[: gen.integers(0, num_qubits + 1)]
         factors = tuple(sorted((int(q), "XYZ"[gen.integers(3)]) for q in support))
         terms.append((float(gen.normal()), factors))
     return PauliSum(num_qubits=num_qubits, terms=tuple(terms))
+
+
+def random_sums(seed, odd_y, per_size=3):
+    """per_size random sums for each of 1 to 10 qubits, with or without an odd-Y term."""
+    gen = np.random.default_rng(seed)
+    sums = []
+    for num_qubits in range(1, 11):
+        found = 0
+        while found < per_size:
+            h = random_pauli_sum(gen, num_qubits, max_terms=6 if num_qubits <= 6 else 12)
+            if has_odd_y_term(h) == odd_y:
+                sums.append(h)
+                found += 1
+    return sums
 
 
 def kronecker_sum(h):
@@ -78,41 +92,51 @@ def kronecker_sum(h):
     return total
 
 
+def term_table_matrix(h):
+    """The compiled term table scattered densely: a term's row i holds coeff * phase[i] at perm[i]."""
+    rows = np.arange(1 << h.num_qubits)
+    total = np.zeros((rows.size, rows.size), dtype=complex)
+    for coeff, perm, phase in _terms(h, h.num_qubits):
+        total[rows, rows if perm is None else perm] += coeff if phase is None else coeff * phase
+    return total
+
+
 def has_odd_y_term(h):
     return any(sum(p == "Y" for _, p in paulis) % 2 for _, paulis in h.terms)
 
 
 class TestDenseMatrix:
+    """The term table the oracle applies, and the oracle itself, against the Kronecker referee."""
+
     @pytest.mark.parametrize("num_qubits", range(1, 7))
     def test_bit_identical_to_kronecker_sum(self, num_qubits):
         gen = np.random.default_rng(num_qubits)
         sums = [random_pauli_sum(gen, num_qubits) for _ in range(40)]
         assert any(map(has_odd_y_term, sums))
         for h in sums:
-            assert np.array_equal(dense_matrix(h), kronecker_sum(h))
+            assert np.array_equal(term_table_matrix(h), kronecker_sum(h))
 
     def test_even_y_sums_are_real(self):
+        # the oracle runs in real arithmetic exactly when no term has an odd number of Y factors
         gen = np.random.default_rng(11)
         for num_qubits in range(1, 7):
             for _ in range(10):
                 h = random_pauli_sum(gen, num_qubits)
-                assert dense_matrix(h).imag.any() == has_odd_y_term(h)
+                assert term_table_matrix(h).imag.any() == has_odd_y_term(h)
 
     def test_ground_energy_matches_kronecker_on_real_sums(self):
-        gen = np.random.default_rng(5)
-        real = [h for h in (random_pauli_sum(gen, q) for q in range(1, 7) for _ in range(20))
-                if not has_odd_y_term(h)]
+        real = random_sums(5, odd_y=False)
         real.append(PauliSum.build(2, [(0.7, {0: "Y", 1: "Y"}), (-0.3, {0: "X"})]))
-        assert len(real) > 10
         for h in real:
-            expected = np.linalg.eigvalsh(kronecker_sum(h))[0]
+            expected = np.linalg.eigvalsh(kronecker_sum(h).real)[0]
             assert abs(exact_ground_energy(h) - expected) <= 1e-12
 
     def test_ground_energy_matches_kronecker_on_complex_sum(self):
-        h = PauliSum.build(3, [(0.4, {0: "Y", 2: "X"}), (-0.2, {1: "Z"})])
-        assert dense_matrix(h).imag.any()
-        expected = np.linalg.eigvalsh(kronecker_sum(h))[0]
-        assert abs(exact_ground_energy(h) - expected) <= 1e-12
+        odd = random_sums(6, odd_y=True)
+        odd.append(PauliSum.build(3, [(0.4, {0: "Y", 2: "X"}), (-0.2, {1: "Z"})]))
+        for h in odd:
+            expected = np.linalg.eigvalsh(kronecker_sum(h))[0]
+            assert abs(exact_ground_energy(h) - expected) <= 1e-12
 
 
 class TestExactGroundEnergy:
@@ -127,14 +151,37 @@ class TestExactGroundEnergy:
         h = PauliSum.build(2, [(0.5, {0: "Z", 1: "Z"})])
         assert np.isclose(exact_ground_energy(h), -0.5)
 
-    def test_dense_matrix_is_hermitian(self):
-        h = PauliSum.build(3, [(0.4, {0: "Y", 2: "X"}), (-0.2, {1: "Z"})])
-        m = dense_matrix(h)
-        assert np.allclose(m, m.conj().T)
+    def test_degenerate_ground_state(self):
+        # -Z0 Z1 on 3 qubits: eigenvalue -1 four times over, reached as an invariant subspace
+        h = PauliSum.build(3, [(-1.0, {0: "Z", 1: "Z"})])
+        assert abs(exact_ground_energy(h) + 1.0) <= 1e-12
 
-    def test_size_limit(self):
-        h = PauliSum.build(13, [(1.0, {0: "Z"})])
-        with pytest.raises(ValueError, match="12"):
+    def test_identity_only_sum(self):
+        h = PauliSum.build(2, [(-0.7, {}), (0.25, {})])
+        assert exact_ground_energy(h) == -0.7 + 0.25
+
+    def test_empty_sum(self):
+        assert exact_ground_energy(PauliSum(num_qubits=3, terms=())) == 0.0
+
+    def test_repeat_call_is_bit_identical(self):
+        h = random_sums(7, odd_y=True, per_size=1)[5]
+        first = exact_ground_energy(h)
+        _terms.cache_clear()
+        assert exact_ground_energy(h) == first
+        assert exact_ground_energy(h) == first
+
+    def test_fourteen_qubit_noninteracting_sum(self):
+        # past the old 12-qubit dense ceiling: sum_q (a_q X_q + b_q Z_q) has ground -sum_q |(a_q, b_q)|
+        gen = np.random.default_rng(14)
+        a, b = gen.normal(size=14), gen.normal(size=14)
+        h = PauliSum.build(14, [(a[q], {q: "X"}) for q in range(14)]
+                           + [(b[q], {q: "Z"}) for q in range(14)])
+        assert abs(exact_ground_energy(h) + np.hypot(a, b).sum()) <= 1e-10
+
+    def test_unconverged_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "LANCZOS_MAX_STEPS", 3)
+        h = random_sums(8, odd_y=False, per_size=1)[5]
+        with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
             exact_ground_energy(h)
 
 

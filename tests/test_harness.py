@@ -216,6 +216,22 @@ class TestRunExperiment:
         trace_text = (tmp_path / "v" / "trace_seed3.csv").read_text()
         assert "# exact_ground_energy: -1.857275030202" in trace_text
 
+    def test_vqe_reference_energy_has_no_qubit_ceiling(self, tmp_path):
+        # 13 qubits of 0.3 X_q + 0.4 Z_q: the ground energy is -13 * 0.5
+        terms = "".join(f"0.3 X{q}\n0.4 Z{q}\n" for q in range(13))
+        (tmp_path / "h13.txt").write_text(f"qubits 13\n{terms}")
+        text = (
+            f"[experiment]\nkind = vqe\nseeds = 0\nmax_iterations = 1\nout = {tmp_path/'v'}\n"
+            "[ansatz]\nfamily = rpqc\nqubits = 13\nlayers = 1\nstructure_seed = 2\n"
+            "[optimizer]\nkind = snes\nwalkers = 4\n"
+            "[vqe]\nhamiltonian = h13.txt\n"
+        )
+        run_experiment(parse_config_text(text, base_dir=tmp_path))
+        header = [line for line in (tmp_path / "v" / "trace_seed0.csv").read_text().splitlines()
+                  if line.startswith("# exact_ground_energy: ")]
+        assert len(header) == 1
+        assert abs(float(header[0].split(": ")[1]) + 6.5) <= 1e-10
+
     def test_hybrid_writes_gradient_snapshots(self, tmp_path):
         text = (
             f"[experiment]\nkind = hybrid\nseeds = 0\nmax_iterations = 6\nout = {tmp_path/'h'}\n"

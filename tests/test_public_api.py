@@ -17,7 +17,7 @@ REMOVED = {
     "qnes.ansatz": ["template_from_text", "FAMILIES"],
     "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse"],
     "qnes.numerics": ["scale_from_factor"],
-    "qnes.hamiltonian": ["vqe_fitness", "vqe_fitness_batch"],
+    "qnes.hamiltonian": ["vqe_fitness", "vqe_fitness_batch", "dense_matrix", "MAX_DENSE_QUBITS"],
     "qnes.gradients": ["energy_loss_gradient"],
 }
 

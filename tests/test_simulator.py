@@ -1,10 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import dense_pauli_string, dense_unitary, random_template
 
-from qnes import ansatz
+from qnes import ansatz, simulator
 from qnes.ansatz import build_rpqc, template_from_gates
 from qnes.gradients import loss_functions
 from qnes.simulator import (
@@ -352,6 +355,84 @@ class TestPauliExpectation:
         h = PauliSum.build(3, [(1.0, {2: "Z"})])
         with pytest.raises(ValueError, match="acts on more qubits than the state has"):
             pauli_expectation_batch(zero_state(2, batch=2), h)
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) on a new thread, which starts without scratch buffers."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+MIXED_SUM = PauliSum.build(6, [(0.3, {0: "Z"}), (-0.2, {1: "X", 2: "Y"}), (0.5, {}),
+                               (0.1, {3: "Y"}), (0.4, {4: "X", 5: "Z"})])
+
+
+class TestScratchBuffers:
+    """The kernel's and the observable's per-thread temporaries carry nothing between calls."""
+
+    def test_changing_row_counts_match_fresh_calls(self, rng):
+        template = random_template(rng, 6, 40)
+        for b in (16, 1, 16):
+            rows = rng.uniform(b * template.num_params, 0, 2 * np.pi).reshape(b, -1)
+            states = run_circuit_batch(template, rows)
+            assert np.array_equal(states, in_fresh_thread(run_circuit_batch, template, rows))
+            assert np.array_equal(pauli_expectation_batch(states, MIXED_SUM),
+                                  in_fresh_thread(pauli_expectation_batch, states, MIXED_SUM))
+
+    def test_writing_into_results_changes_no_later_call(self, rng):
+        template = random_template(rng, 6, 40)
+        rows = rng.uniform(4 * template.num_params, 0, 2 * np.pi).reshape(4, -1)
+        states = run_circuit_batch(template, rows)
+        kept_states = states.copy()
+        values = pauli_expectation_batch(kept_states, MIXED_SUM)
+        kept_values = values.copy()
+        states[:] = 7.0
+        values[:] = 7.0
+        assert np.array_equal(run_circuit_batch(template, rows), kept_states)
+        assert np.array_equal(pauli_expectation_batch(kept_states, MIXED_SUM), kept_values)
+
+    def test_second_call_reuses_the_scratch_arrays(self, rng, monkeypatch):
+        real_scratch, addresses = simulator._scratch, []
+
+        def recording(shape, count):
+            arrays = real_scratch(shape, count)
+            addresses.append([a.ctypes.data for a in arrays])
+            return arrays
+
+        monkeypatch.setattr(simulator, "_scratch", recording)
+        template = random_template(rng, 6, 20)
+        rows = rng.uniform(3 * template.num_params, 0, 2 * np.pi).reshape(3, -1)
+        states = run_circuit_batch(template, rows)
+        run_circuit_batch(template, rows)
+        pauli_expectation_batch(states, MIXED_SUM)
+        pauli_expectation_batch(states, MIXED_SUM)
+        kernel_first, kernel_second, observable_first, observable_second = addresses
+        assert kernel_first == kernel_second
+        assert observable_first == observable_second
+        other_thread = in_fresh_thread(real_scratch, states.shape, 3)
+        assert not any(np.shares_memory(a, b) for a in other_thread
+                       for b in real_scratch(states.shape, 3))
+
+    def test_concurrent_threads_keep_their_own_scratch(self, rng):
+        template = random_template(rng, 6, 40)
+        batches = [rng.uniform(b * template.num_params, 0, 2 * np.pi).reshape(b, -1)
+                   for b in (16, 1, 9, 16, 3, 12)]
+        expected = [pauli_expectation_batch(run_circuit_batch(template, rows), MIXED_SUM)
+                    for rows in batches]
+
+        def evaluate(rows):
+            return pauli_expectation_batch(run_circuit_batch(template, rows), MIXED_SUM)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                futures = [pool.submit(evaluate, rows) for rows in batches * 8]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected * 8):
+            assert np.array_equal(got, want)
 
 
 class TestGateValidation:
