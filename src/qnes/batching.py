@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nes import FullDistribution, NesConfig, SeparableDistribution, _optimize_blocks
+from .nes import NesConfig, _optimize_blocks, initial_distribution
 from .numerics import SeededRng
 from .trace import RunTrace
 
@@ -34,7 +34,14 @@ class PartitionStrategy:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown partition strategy {self.kind!r}")
+            raise ValueError(f"strategy must be one of {', '.join(STRATEGY_KINDS)}, "
+                             f"got {self.kind!r}")
+
+    def check(self, num_params: int) -> None:
+        """Raise ValueError unless a sized kind's batch_size is in [1, num_params]."""
+        if self.kind in SIZED_KINDS and not 1 <= (self.batch_size or 0) <= num_params:
+            raise ValueError(f"batch_size must be in [1, {num_params}] (the circuit's parameter "
+                             f"count) for {self.kind}, got {self.batch_size}")
 
 
 @dataclass
@@ -55,17 +62,15 @@ def _chunk(indices: np.ndarray, size: int) -> list[np.ndarray]:
     return [np.sort(indices[i:i + size]) for i in range(0, indices.size, size)]
 
 
-def _grouped(labels) -> list[np.ndarray]:
-    labels = np.asarray(labels)
-    return [np.flatnonzero(labels == value) for value in np.unique(labels)]
-
-
 def _blocks(labels, batch_size: int) -> list[np.ndarray]:
-    # contiguous label groups whose combined slot count approximately fills batch_size
+    # contiguous label groups whose combined slot count approximately fills batch_size;
+    # batch_size 1 gives one batch per label
+    labels = np.asarray(labels)
     batches: list[np.ndarray] = []
     current: list[np.ndarray] = []
     count = 0
-    for group in _grouped(labels):
+    for value in np.unique(labels):
+        group = np.flatnonzero(labels == value)
         if current and count + group.size > batch_size:
             batches.append(np.sort(np.concatenate(current)))
             current, count = [], 0
@@ -79,21 +84,13 @@ def _blocks(labels, batch_size: int) -> list[np.ndarray]:
 def make_partition(template, strategy: PartitionStrategy, rng: SeededRng) -> BatchSchedule:
     """Build the fixed batch schedule for a template under the given strategy."""
     num_params = template.num_params
-    if strategy.kind in SIZED_KINDS:
-        if strategy.batch_size is None or not 1 <= strategy.batch_size <= num_params:
-            raise ValueError(
-                f"batch_size must be in [1, {num_params}] for strategy {strategy.kind!r}"
-            )
+    strategy.check(num_params)
     if strategy.kind == "random":
         batches = _chunk(rng.permutation(num_params), strategy.batch_size)
-    elif strategy.kind == "layer_wise":
-        batches = _grouped(template.slot_layers)
-    elif strategy.kind == "qubit_wise":
-        batches = _grouped(template.slot_qubits)
-    elif strategy.kind == "layer_block":
-        batches = _blocks(template.slot_layers, strategy.batch_size)
     else:
-        batches = _blocks(template.slot_qubits, strategy.batch_size)
+        layers = strategy.kind.startswith("layer")
+        size = strategy.batch_size if strategy.kind in SIZED_KINDS else 1  # *_wise: one label
+        batches = _blocks(template.slot_layers if layers else template.slot_qubits, size)
     return BatchSchedule(num_params=num_params, batches=tuple(batches))
 
 
@@ -118,13 +115,6 @@ def batch_optimize(
     mu = np.array(initial_mu, dtype=float)
     if mu.ndim != 1 or mu.size != schedule.num_params:
         raise ValueError("initial_mu length must match the schedule's parameter count")
-    if not sigma_init > 0:
-        raise ValueError("sigma_init must be positive")
-
-    def block(idx):
-        if variant == "snes":
-            return SeparableDistribution(mu=mu[idx], sigma=np.full(len(idx), float(sigma_init)))
-        return FullDistribution.isotropic(mu[idx], sigma_init)
-
-    blocks = [(idx, block(idx)) for idx in schedule.batches]
+    blocks = [(idx, initial_distribution(variant, mu[idx], sigma_init))
+              for idx in schedule.batches]
     return _optimize_blocks(fitness, blocks, mu, config, rng, trace, n_workers)

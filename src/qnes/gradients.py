@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nes import NesConfig, SeparableDistribution, optimize
+from .nes import NesConfig, initial_distribution, optimize
 from .numerics import SeededRng
 from .simulator import (
     PauliSum,
@@ -98,6 +98,8 @@ class GdConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
 
 
 def gradient_descent(
@@ -150,6 +152,12 @@ class VarianceScanConfig:
     def __post_init__(self):
         if self.num_inits < 2:
             raise ValueError("num_inits must be >= 2 for a variance")
+        if not self.sigma_values or not all(np.isfinite(s) and s > 0 for s in self.sigma_values):
+            raise ValueError(f"sigma_values must be one or more finite values > 0, "
+                             f"got {self.sigma_values}")
+        if not self.walker_counts or min(self.walker_counts) < 1:
+            raise ValueError(f"walker_counts must be one or more counts >= 1, "
+                             f"got {self.walker_counts}")
         if self.estimator not in ("single", "symmetric"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
@@ -255,7 +263,7 @@ def hybrid_optimize(
                 trace.gradient_snapshots.append(GradientSnapshot(iteration, grad_fn(dist.mu)))
 
         warm_cfg = replace(nes_config, max_iterations=warmup_iterations)
-        dist = SeparableDistribution(mu=mu, sigma=np.full(mu.size, float(sigma_init)))
+        dist = initial_distribution("snes", mu, sigma_init)
         mu, trace = optimize(loss, dist, warm_cfg, rng, trace=trace, callback=maybe_snapshot)
         last = trace.gradient_snapshots[-1]
         if last.iteration != trace.iterations[-1]:

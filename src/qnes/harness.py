@@ -13,14 +13,14 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .ansatz import AnsatzSpec, template_to_text
-from .batching import SIZED_KINDS, STRATEGY_KINDS, PartitionStrategy, batch_optimize, make_partition
+from .batching import PartitionStrategy, batch_optimize, make_partition
 from .gradients import (
     GdConfig,
     VarianceScanConfig,
@@ -35,13 +35,7 @@ from .hamiltonian import (
     exact_ground_energy,
     load_pauli_file,
 )
-from .nes import (
-    FullDistribution,
-    IsotropicDistribution,
-    NesConfig,
-    SeparableDistribution,
-    optimize,
-)
+from .nes import NesConfig, initial_distribution, optimize
 from .numerics import SeededRng
 from .simulator import PauliSum
 from .trace import RunTrace
@@ -61,29 +55,23 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """A loaded config: the library's option objects, built and range-checked at load."""
+
     experiment: str
     seeds: tuple[int, ...]
     out_dir: Path
-    max_iterations: int
     ansatz: AnsatzSpec
-    optimizer: str = "snes"
-    walkers: int = 16
-    sigma_init: float = 0.1
-    stop_threshold: float = 1e-8
-    workers: int = 0
-    gd_learning_rate: float | None = None
-    gd_max_iterations: int | None = None
-    gd_tolerance: float = 1e-8
-    batch_strategy: str = "random"
-    batch_size: int | None = None
-    scan_num_inits: int = 500
-    scan_sigma_values: tuple[float, ...] = ()
-    scan_walker_counts: tuple[int, ...] = ()
-    hybrid_warmup: int = 5
-    hybrid_snapshot_interval: int = 0
-    hamiltonian_path: Path | None = None
-    hamiltonian: PauliSum | None = None
-    echo: dict = field(default_factory=dict)
+    optimizer: str
+    sigma_init: float
+    workers: int
+    nes: NesConfig
+    gd: GdConfig | None  # None when [gradient_descent] learning_rate is unset
+    partition: PartitionStrategy
+    scan: VarianceScanConfig
+    hybrid_warmup: int
+    hybrid_snapshot_interval: int
+    hamiltonian: PauliSum | None
+    echo: dict
 
 
 def _parse_angle_token(token: str) -> float:
@@ -94,9 +82,52 @@ def _parse_angle_token(token: str) -> float:
     return float(token)
 
 
+def _at_least(low, kind=int):
+    """Cast to `kind`, then require a finite value >= low."""
+    def cast(value):
+        number = kind(value)
+        if not (math.isfinite(number) and number >= low):
+            raise ValueError(f"must be finite and >= {low}")
+        return number
+    return cast
+
+
+def _positive(value) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError("must be finite and > 0")
+    return number
+
+
+def _build(section: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), with its ValueError (which names a key) as a ConfigError."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
+def _hamiltonian(value: str, base_dir: Path) -> PauliSum:
+    """The [vqe] hamiltonian: ``bundled:NAME``, or a file path relative to the config."""
+    if value.startswith("bundled:"):
+        path = bundled_hamiltonian_path(value.split(":", 1)[1])
+    else:
+        path = base_dir / value
+    if not path.exists():
+        raise ConfigError(f"[vqe] hamiltonian file not found: {path}")
+    try:
+        return load_pauli_file(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[vqe] hamiltonian {path}: {exc}") from exc
+
+
 def parse_config_text(text: str, base_dir: Path | None = None,
                       overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Parse and validate a config; `overrides` maps ``section.key`` to a value, `%` is literal."""
+    """Parse and validate a config; `overrides` maps ``section.key`` to a value, `%` is literal.
+
+    Each key's range is checked by its cast; the library objects check their own
+    arguments again, and `_validate` holds the rules that tie sections together.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(text)
@@ -131,115 +162,99 @@ def parse_config_text(text: str, base_dir: Path | None = None,
     experiment = require("experiment", "kind")
     if experiment not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {experiment!r}")
-    seeds = require("experiment", "seeds", tokens(int))
+    seeds = require("experiment", "seeds", tokens(_at_least(0)))
 
     if not parser.has_section("ansatz"):
         raise ConfigError("missing [ansatz] section")
-    spec = (require("ansatz", "family"), require("ansatz", "qubits", int),
-            require("ansatz", "layers", int), get("ansatz", "structure_seed", "0", int))
-    try:
-        ansatz = AnsatzSpec(*spec)
-    except ValueError as exc:
-        raise ConfigError(f"[ansatz] {exc}") from exc
+    ansatz = _build("ansatz", AnsatzSpec, require("ansatz", "family"),
+                    require("ansatz", "qubits", int), require("ansatz", "layers", int),
+                    get("ansatz", "structure_seed", "0", _at_least(0)))
 
     optimizer = get("optimizer", "kind", "snes")
     if optimizer not in OPTIMIZER_KINDS:
         raise ConfigError(f"unknown optimizer kind {optimizer!r}")
-
+    max_iterations = get("experiment", "max_iterations", "500", _at_least(0))
+    learning_rate = get("gradient_descent", "learning_rate", cast=_positive)
+    gd_iterations = get("gradient_descent", "max_iterations", cast=_at_least(0))
+    gd_tolerance = get("gradient_descent", "tolerance", "1e-8", _at_least(0.0, float))
+    ham = get("vqe", "hamiltonian")
     config = ExperimentConfig(
         experiment=experiment,
         seeds=seeds,
         out_dir=base_dir / get("experiment", "out", "runs/out"),
-        max_iterations=get("experiment", "max_iterations", "500", int),
         ansatz=ansatz,
         optimizer=optimizer,
-        walkers=get("optimizer", "walkers", "16", int),
-        sigma_init=get("optimizer", "sigma_init", "0.1", float),
-        stop_threshold=get("optimizer", "stop_threshold", "1e-8", float),
-        workers=get("optimizer", "workers", "0", int),
-        gd_learning_rate=get("gradient_descent", "learning_rate", cast=float),
-        gd_max_iterations=get("gradient_descent", "max_iterations", cast=int),
-        gd_tolerance=get("gradient_descent", "tolerance", "1e-8", float),
-        batch_strategy=get("batch", "strategy", "random"),
-        batch_size=get("batch", "size", cast=int),
-        scan_num_inits=get("variance_scan", "num_inits", "500", int),
-        scan_sigma_values=get("variance_scan", "sigma_values", "pi/8 pi/16 pi/32",
-                              tokens(_parse_angle_token)),
-        scan_walker_counts=get("variance_scan", "walker_counts", "1 2 4 8", tokens(int)),
-        hybrid_warmup=get("hybrid", "warmup", "5", int),
-        hybrid_snapshot_interval=get("hybrid", "snapshot_interval", "0", int),
+        sigma_init=get("optimizer", "sigma_init", "0.1", _positive),
+        workers=get("optimizer", "workers", "0", _at_least(0)),
+        nes=NesConfig(population=get("optimizer", "walkers", "16", _at_least(1)),
+                      max_iterations=max_iterations,
+                      stop_threshold=get("optimizer", "stop_threshold", "1e-8",
+                                         _at_least(0.0, float))),
+        gd=None if learning_rate is None else GdConfig(
+            learning_rate=learning_rate, tolerance=gd_tolerance,
+            max_iterations=max_iterations if gd_iterations is None else gd_iterations),
+        partition=_build("batch", PartitionStrategy, get("batch", "strategy", "random"),
+                         get("batch", "size", cast=int)),
+        scan=_build("variance_scan", VarianceScanConfig,
+                    num_inits=get("variance_scan", "num_inits", "500", _at_least(2)),
+                    sigma_values=get("variance_scan", "sigma_values", "pi/8 pi/16 pi/32",
+                                     tokens(lambda token: _positive(_parse_angle_token(token)))),
+                    walker_counts=get("variance_scan", "walker_counts", "1 2 4 8",
+                                      tokens(_at_least(1))),
+                    observable=local_cost_observable(ansatz.num_qubits)),
+        hybrid_warmup=get("hybrid", "warmup", "5", _at_least(0)),
+        hybrid_snapshot_interval=get("hybrid", "snapshot_interval", "0", _at_least(0)),
+        hamiltonian=None if ham is None else _hamiltonian(ham, base_dir),
+        echo={f"{section}.{key}": value
+              for section in parser.sections() for key, value in parser.items(section)},
     )
-    ham = get("vqe", "hamiltonian")
     unknown = [f"[{s}] {k}" for s in parser.sections() for k in parser.options(s)
                if (s, k) not in read]
     if unknown:
         raise ConfigError(f"unknown config key {', '.join(unknown)}")
-    if ham is not None:
-        if ham.startswith("bundled:"):
-            config.hamiltonian_path = bundled_hamiltonian_path(ham.split(":", 1)[1])
-        else:
-            config.hamiltonian_path = base_dir / ham
-
-    config.echo = {
-        f"{section}.{key}": value
-        for section in parser.sections()
-        for key, value in parser.items(section)
-    }
     _validate(config)
-    if config.hamiltonian_path is not None:
-        try:
-            config.hamiltonian = load_pauli_file(config.hamiltonian_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"[vqe] hamiltonian {config.hamiltonian_path}: {exc}") from exc
-        if config.hamiltonian.num_qubits > ansatz.num_qubits:
-            raise ConfigError(f"[vqe] hamiltonian acts on {config.hamiltonian.num_qubits} qubits, "
-                              f"more than [ansatz] qubits = {ansatz.num_qubits}")
     return config
 
 
 def _validate(config: ExperimentConfig) -> None:
-    if not config.seeds:
+    """The rules that tie one section to another."""
+    seeds = config.seeds
+    if not seeds:
         raise ConfigError("[experiment] seeds must be non-empty")
-    if min(config.seeds) < 0:
-        raise ConfigError(f"[experiment] seeds (or --seed) must be >= 0, got {min(config.seeds)}")
-    if config.walkers < 1:
-        raise ConfigError("walkers must be >= 1")
-    if config.optimizer in ("snes", "xnes") and config.walkers < 2:
-        raise ConfigError("snes/xnes need at least 2 walkers")
-    if not config.sigma_init > 0:
-        raise ConfigError("sigma_init must be positive")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"[experiment] seeds (or --seed) must be distinct, got {seeds}")
+    if config.experiment == "variance_scan" and len(seeds) != 1:
+        raise ConfigError(f"[experiment] seeds (or --seed) must be one seed for variance_scan, "
+                          f"got {seeds}")
+    if config.optimizer in ("snes", "xnes") and config.nes.population < 2:
+        raise ConfigError("[optimizer] walkers must be >= 2 for snes and xnes")
     needs_gd = config.experiment in ("compare_gd", "hybrid") or config.optimizer == "gd"
-    if needs_gd and config.gd_learning_rate is None:
+    if needs_gd and config.gd is None:
         raise ConfigError("[gradient_descent] learning_rate is required for this experiment")
-    if config.hamiltonian_path is not None:
+    h = config.hamiltonian
+    if h is not None:
         if config.experiment in ("stateprep", "variance_scan"):
             raise ConfigError(f"[vqe] hamiltonian is set, but kind = {config.experiment} "
                               "does not minimize an energy; use kind = vqe")
-        if not config.hamiltonian_path.exists():
-            raise ConfigError(f"[vqe] hamiltonian file not found: {config.hamiltonian_path}")
+        if h.num_qubits > config.ansatz.num_qubits:
+            raise ConfigError(f"[vqe] hamiltonian acts on {h.num_qubits} qubits, "
+                              f"more than [ansatz] qubits = {config.ansatz.num_qubits}")
     elif config.experiment == "vqe":
         raise ConfigError("[vqe] hamiltonian is required for the vqe experiment")
     if config.experiment == "batch":
-        if config.batch_strategy not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown batch strategy {config.batch_strategy!r}")
-        num_params = config.ansatz.num_params
-        if (config.batch_strategy in SIZED_KINDS
-                and not 1 <= (config.batch_size or 0) <= num_params):
-            raise ConfigError(f"[batch] size must be in [1, {num_params}] (the circuit's "
-                              f"parameter count) for {config.batch_strategy}, "
-                              f"got {config.batch_size}")
+        try:
+            config.partition.check(config.ansatz.num_params)
+        except ValueError as exc:
+            raise ConfigError(f"[batch] {exc}".replace("batch_size", "size", 1)) from exc
         if config.optimizer not in ("snes", "xnes"):
             raise ConfigError("[optimizer] kind must be snes or xnes for the batch experiment")
     if config.experiment == "hybrid" and config.optimizer != "snes":
         raise ConfigError("[optimizer] kind must be snes for hybrid (its warm-up is separable)")
     if config.experiment == "compare_gd" and config.optimizer == "gd":
         raise ConfigError("[optimizer] kind must be canonical, snes or xnes for compare_gd")
-    if config.experiment == "variance_scan":
-        if config.scan_num_inits < 2:
-            raise ConfigError("variance_scan num_inits must be >= 2")
-        if config.ansatz.family != "rpqc":
-            raise ConfigError("[ansatz] family must be rpqc for variance_scan, "
-                              "which scans the random circuit")
+    if config.experiment == "variance_scan" and config.ansatz.family != "rpqc":
+        raise ConfigError("[ansatz] family must be rpqc for variance_scan, "
+                          "which scans the random circuit")
 
 
 def load_config(path, overrides: dict[str, str] | None = None, seeds=None,
@@ -334,30 +349,6 @@ def write_summary_csv(path: Path, rows, config: ExperimentConfig | None = None,
     _write_csv(path, "summary", SUMMARY_SCHEMA, rows, config, None, extra)
 
 
-def _nes_config(config: ExperimentConfig) -> NesConfig:
-    return NesConfig(
-        population=config.walkers,
-        max_iterations=config.max_iterations,
-        stop_threshold=config.stop_threshold,
-    )
-
-
-def _gd_config(config: ExperimentConfig) -> GdConfig:
-    return GdConfig(
-        learning_rate=config.gd_learning_rate,
-        max_iterations=config.gd_max_iterations or config.max_iterations,
-        tolerance=config.gd_tolerance,
-    )
-
-
-def _initial_distribution(config: ExperimentConfig, mu0: np.ndarray):
-    if config.optimizer == "snes":
-        return SeparableDistribution(mu=mu0, sigma=np.full(mu0.size, config.sigma_init))
-    if config.optimizer == "xnes":
-        return FullDistribution.isotropic(mu0, config.sigma_init)
-    return IsotropicDistribution(mu=mu0, sigma=config.sigma_init)
-
-
 def _problem(config: ExperimentConfig, template):
     """(loss, grad_fn, header_extra) of the configured loss.
 
@@ -382,20 +373,19 @@ def _run_nes(config: ExperimentConfig, template, loss, seed: int) -> RunTrace:
     rng, mu0 = _start(template, seed)
     trace = RunTrace()
     if config.experiment == "batch":
-        strategy = PartitionStrategy(kind=config.batch_strategy, batch_size=config.batch_size)
-        schedule = make_partition(template, strategy, rng)
-        batch_optimize(loss, schedule, mu0, config.sigma_init, _nes_config(config), rng,
+        schedule = make_partition(template, config.partition, rng)
+        batch_optimize(loss, schedule, mu0, config.sigma_init, config.nes, rng,
                        variant=config.optimizer, trace=trace, n_workers=config.workers)
     else:
-        optimize(loss, _initial_distribution(config, mu0), _nes_config(config), rng,
-                 trace=trace, n_workers=config.workers)
+        optimize(loss, initial_distribution(config.optimizer, mu0, config.sigma_init),
+                 config.nes, rng, trace=trace, n_workers=config.workers)
     return trace
 
 
 def _run_hybrid(config: ExperimentConfig, template, loss, grad_fn, seed: int) -> RunTrace:
     rng, mu0 = _start(template, seed)
     _, trace = hybrid_optimize(
-        loss, grad_fn, mu0, config.hybrid_warmup, _nes_config(config), _gd_config(config),
+        loss, grad_fn, mu0, config.hybrid_warmup, config.nes, config.gd,
         rng, sigma_init=config.sigma_init,
         snapshot_interval=config.hybrid_snapshot_interval or None,
     )
@@ -435,7 +425,7 @@ def run_experiment(config: ExperimentConfig) -> None:
         return _run_nes(config, template, loss, seed)
 
     def gd(seed):
-        return gradient_descent(loss, grad_fn, _start(template, seed)[1], _gd_config(config))[1]
+        return gradient_descent(loss, grad_fn, _start(template, seed)[1], config.gd)[1]
 
     if config.experiment == "compare_gd":
         runners = {"_nes": nes, "_gd": gd}
@@ -450,14 +440,8 @@ def run_experiment(config: ExperimentConfig) -> None:
 
 
 def _run_variance_scan(config: ExperimentConfig, template) -> None:
-    scan = VarianceScanConfig(
-        num_inits=config.scan_num_inits,
-        sigma_values=config.scan_sigma_values,
-        walker_counts=config.scan_walker_counts,
-        observable=local_cost_observable(template.num_qubits),
-    )
     rows = [(row.sigma_init, row.walkers, row.variance_surrogate, row.variance_exact)
-            for row in surrogate_gradient_variance_scan(template, scan,
+            for row in surrogate_gradient_variance_scan(template, config.scan,
                                                         SeededRng(config.seeds[0]))]
     _write_csv(config.out_dir / "variance_scan.csv", "variance-scan", SCAN_SCHEMA, rows,
                config, config.seeds[0])

@@ -31,6 +31,7 @@ __all__ = [
     "FullDistribution",
     "NesConfig",
     "WalkerBatch",
+    "initial_distribution",
     "compute_utilities",
     "default_learning_rates",
     "sample_walkers",
@@ -138,6 +139,17 @@ class FullDistribution:
 
     def step(self, batch: "WalkerBatch", config: "NesConfig") -> "FullDistribution":
         return xnes_step(self, batch, config)
+
+
+def initial_distribution(kind: str, mu: np.ndarray, sigma_init: float):
+    """The starting distribution of a strategy kind: canonical, snes or xnes, width sigma_init."""
+    if kind == "snes":
+        return SeparableDistribution(mu=mu, sigma=np.full(np.size(mu), float(sigma_init)))
+    if kind == "xnes":
+        return FullDistribution.isotropic(mu, sigma_init)
+    if kind == "canonical":
+        return IsotropicDistribution(mu=mu, sigma=sigma_init)
+    raise ValueError(f"unknown strategy kind {kind!r}")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnes.ansatz import build_rpqc
+from qnes.ansatz import build_alpqc, build_rpqc
 from qnes.batching import (
     BatchSchedule,
     PartitionStrategy,
@@ -74,6 +74,31 @@ class TestMakePartition:
         for bad in (0, template.num_params + 1, None):
             with pytest.raises(ValueError, match="batch_size"):
                 make_partition(template, PartitionStrategy("random", bad), SeededRng(1))
+
+    @pytest.mark.parametrize("kind", ["layer_wise", "qubit_wise"])
+    @pytest.mark.parametrize("template", [build_rpqc(4, 3, structure_seed=5), build_alpqc(5, 2)],
+                             ids=["rpqc", "alpqc"])
+    def test_wise_batches_are_the_label_groups(self, kind, template):
+        labels = np.asarray(template.slot_layers if kind == "layer_wise" else template.slot_qubits)
+        expected = [np.flatnonzero(labels == value) for value in np.unique(labels)]
+        schedule = make_partition(template, PartitionStrategy(kind), SeededRng(1))
+        assert len(schedule.batches) == len(expected)
+        for batch, group in zip(schedule.batches, expected):
+            assert batch.dtype == group.dtype
+            assert np.array_equal(batch, group)
+
+    @pytest.mark.parametrize("kind", ["random", "layer_block", "qubit_block"])
+    def test_check_sized_kinds(self, kind):
+        for size in (1, 12):
+            PartitionStrategy(kind, size).check(12)
+        for bad in (None, 0, -1, 13):
+            with pytest.raises(ValueError, match=r"batch_size must be in \[1, 12\]"):
+                PartitionStrategy(kind, bad).check(12)
+
+    @pytest.mark.parametrize("kind", ["layer_wise", "qubit_wise"])
+    def test_check_ignores_size_of_structural_kinds(self, kind):
+        for size in (None, 0, 13):
+            PartitionStrategy(kind, size).check(12)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qnes.gradients
 from qnes.ansatz import build_alpqc, build_rpqc, template_from_gates
@@ -212,6 +213,11 @@ class TestGradientDescent:
         with pytest.raises(ValueError, match="learning_rate"):
             GdConfig(learning_rate=0.0)
 
+    def test_max_iterations_validation(self):
+        assert GdConfig(learning_rate=0.1, max_iterations=0).max_iterations == 0
+        with pytest.raises(ValueError, match="max_iterations"):
+            GdConfig(learning_rate=0.1, max_iterations=-1)
+
 
 class TestVarianceScan:
     def test_constant_fitness_zero_variance(self):
@@ -255,6 +261,22 @@ class TestVarianceScan:
                 sigma_values=(0.3,), walker_counts=(1,),
                 observable=local_cost_observable(3),
             )
+
+    @pytest.mark.parametrize("grid, key", [
+        (((), (1,)), "sigma_values"),
+        (((0.0,), (1,)), "sigma_values"),
+        (((0.3, -0.1), (1,)), "sigma_values"),
+        (((np.inf,), (1,)), "sigma_values"),
+        (((np.nan,), (1,)), "sigma_values"),
+        (((0.3,), ()), "walker_counts"),
+        (((0.3,), (0,)), "walker_counts"),
+        (((0.3,), (2, -1)), "walker_counts"),
+    ])
+    def test_grid_validation(self, grid, key):
+        sigma_values, walker_counts = grid
+        with pytest.raises(ValueError, match=key):
+            VarianceScanConfig(num_inits=2, sigma_values=sigma_values,
+                               walker_counts=walker_counts, observable=local_cost_observable(3))
 
     def test_analytical_variance_helper(self):
         template = build_rpqc(4, 2, structure_seed=5)
@@ -383,3 +405,43 @@ class TestHybridOptimize:
         # warm-up burns 4 evaluations per iteration, descent 2 * num_params + 1
         assert trace.evaluations[1] - trace.evaluations[0] == 4
         assert trace.evaluations[-1] - trace.evaluations[-2] == 2 * template.num_params + 1
+
+
+CHUNK_TEMPLATES = {q: build_rpqc(q, 2, structure_seed=q) for q in (3, 6, 9)}
+CHUNK_OBSERVABLES = {
+    q: PauliSum.build(q, [(0.7, {0: "X", 1: "Y"}), (-0.3, {q - 1: "Z"}),
+                          (0.2, {1: "Y", 2: "X"}), (0.5, {})])
+    for q in CHUNK_TEMPLATES
+}
+
+
+@st.composite
+def chunked_rows(draw):
+    """(qubits, parameter rows, rows per chunk in 1..B, whether to use the Pauli sum)."""
+    qubits = draw(st.sampled_from(sorted(CHUNK_TEMPLATES)))
+    num_rows = draw(st.integers(1, 24))
+    chunk = draw(st.integers(1, num_rows))
+    seed = draw(st.integers(0, 2**16))
+    rows = np.random.default_rng(seed).uniform(
+        0, 2 * np.pi, (num_rows, CHUNK_TEMPLATES[qubits].num_params))
+    return qubits, rows, chunk, draw(st.booleans())
+
+
+class TestChunkInvariance:
+    """expectation_values gives every row the same bits, whatever the rows per kernel call."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(chunked_rows())
+    @example((3, np.zeros((1, 6)), 1, False))
+    @example((9, np.linspace(0, 6, 17 * 18).reshape(17, 18), 16, True))
+    @example((6, np.linspace(0, 6, 24 * 12).reshape(24, 12), 5, False))
+    def test_any_chunk_size_gives_the_unchunked_values(self, case):
+        qubits, rows, chunk, pauli = case
+        template = CHUNK_TEMPLATES[qubits]
+        observable = CHUNK_OBSERVABLES[qubits] if pauli else None
+        assert qnes.gradients._chunk_rows(qubits) >= len(rows)  # one call unpatched
+        whole = expectation_values(template, rows, observable)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qnes.gradients, "_chunk_rows", lambda num_qubits: chunk)
+            chunked = expectation_values(template, rows, observable)
+        assert np.array_equal(chunked, whole)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qnes.ansatz import AnsatzSpec
+from qnes.batching import PartitionStrategy
 from qnes.cli import main
-from qnes.gradients import loss_functions
+from qnes.gradients import GdConfig, loss_functions
 from qnes.hamiltonian import bundled_hamiltonian_path, load_pauli_file
 from qnes.harness import (
     ConfigError,
@@ -16,6 +17,7 @@ from qnes.harness import (
     run_experiment,
     summarize,
 )
+from qnes.nes import NesConfig
 from qnes.numerics import SeededRng
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -58,8 +60,28 @@ class TestConfigParsing:
         config = parse_config_text(STATEPREP_CONFIG.format(out="runs/x"), base_dir=tmp_path)
         assert config.experiment == "stateprep"
         assert config.seeds == (0, 1)
-        assert config.walkers == 6
+        assert config.nes.population == 6
         assert config.ansatz.family == "rpqc"
+
+    def test_option_objects_built_at_load(self, tmp_path):
+        text = (
+            "[experiment]\nkind = compare_gd\nseeds = 2\nmax_iterations = 40\n"
+            "[ansatz]\nfamily = rpqc\nqubits = 3\nlayers = 2\n"
+            "[optimizer]\nwalkers = 6\nstop_threshold = 0\n"
+            "[gradient_descent]\nlearning_rate = 0.1\n"
+            "[batch]\nstrategy = layer_block\nsize = 3\n"
+        )
+        config = parse_config_text(text, base_dir=tmp_path)
+        assert config.nes == NesConfig(population=6, max_iterations=40, stop_threshold=0.0)
+        assert config.gd == GdConfig(learning_rate=0.1, max_iterations=40, tolerance=1e-8)
+        assert config.partition == PartitionStrategy("layer_block", 3)
+        assert (config.scan.num_inits, config.scan.walker_counts) == (500, (1, 2, 4, 8))
+        assert config.scan.observable.num_qubits == 3
+        with_gd_iterations = parse_config_text(text, tmp_path,
+                                               {"gradient_descent.max_iterations": "0"})
+        assert with_gd_iterations.gd.max_iterations == 0
+        stateprep = parse_config_text(STATEPREP_CONFIG.format(out="runs/x"), base_dir=tmp_path)
+        assert stateprep.gd is None
 
     def test_unknown_experiment(self, tmp_path):
         text = STATEPREP_CONFIG.format(out="runs/x").replace("kind = stateprep", "kind = anneal", 1)
@@ -96,7 +118,7 @@ class TestConfigParsing:
             "[vqe]\nhamiltonian = bundled:h2\n"
         )
         config = parse_config_text(text, base_dir=tmp_path)
-        assert config.hamiltonian_path.exists()
+        assert config.hamiltonian.num_qubits == 2
 
     def test_pi_fraction_tokens(self, tmp_path):
         text = (
@@ -105,7 +127,7 @@ class TestConfigParsing:
             "[variance_scan]\nnum_inits = 5\nsigma_values = pi/8 pi/16 0.25\nwalker_counts = 1 2\n"
         )
         config = parse_config_text(text, base_dir=tmp_path)
-        assert np.allclose(config.scan_sigma_values, (np.pi / 8, np.pi / 16, 0.25))
+        assert np.allclose(config.scan.sigma_values, (np.pi / 8, np.pi / 16, 0.25))
 
     def test_variance_scan_needs_rpqc(self, tmp_path):
         text = (
@@ -118,7 +140,7 @@ class TestConfigParsing:
     def test_override_via_load_config(self, tmp_path):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="runs/x"))
         config = load_config(path, overrides={"optimizer.walkers": "9"})
-        assert config.walkers == 9
+        assert config.nes.population == 9
 
     def test_bad_override_key(self, tmp_path):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="runs/x"))
@@ -157,7 +179,7 @@ class TestConfigParsing:
         config = load_config(path, overrides={"optimizer.walkers": "9"}, seeds=[4, 2],
                              out_dir=tmp_path / "o")
         assert counts == {"parser": 1, "validate": 1}
-        assert (config.walkers, config.seeds, config.out_dir) == (9, (4, 2), tmp_path / "o")
+        assert (config.nes.population, config.seeds, config.out_dir) == (9, (4, 2), tmp_path / "o")
         assert config.echo["experiment.seeds"] == "4 2"
         assert config.echo["experiment.out"] == str(tmp_path / "o")
 
@@ -339,6 +361,13 @@ class TestSummarize:
             summarize([a, b])
 
 
+COMPARE_GD = ["--override", "experiment.kind=compare_gd"]
+HYBRID = ["--override", "experiment.kind=hybrid",
+          "--override", "gradient_descent.learning_rate=0.1"]
+SCAN = ["--override", "experiment.kind=variance_scan", "--seed", "0",
+        "--override", "variance_scan.num_inits=2"]
+
+
 class TestCli:
     def test_run_and_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out=tmp_path / "out"))
@@ -401,11 +430,40 @@ class TestCli:
          "[vqe] hamiltonian"),
         (["--override", "experiment.kind=vqe", "--override", "vqe.hamiltonian=bad_factor.txt"],
          "[vqe] hamiltonian"),
+        (COMPARE_GD + ["--override", "gradient_descent.learning_rate=-1"],
+         "[gradient_descent] learning_rate"),
+        (["--override", "experiment.max_iterations=-1"], "[experiment] max_iterations"),
+        (HYBRID + ["--override", "hybrid.warmup=-1"], "[hybrid] warmup"),
+        (SCAN + ["--override", "variance_scan.walker_counts=0"], "[variance_scan] walker_counts"),
+        (["--override", "optimizer.sigma_init=inf"], "[optimizer] sigma_init"),
+        (COMPARE_GD + ["--override", "gradient_descent.learning_rate=0.1",
+                       "--override", "gradient_descent.max_iterations=-3"],
+         "[gradient_descent] max_iterations"),
+        (SCAN + ["--override", "variance_scan.sigma_values=0"], "[variance_scan] sigma_values"),
+        (SCAN + ["--override", "variance_scan.sigma_values="], "[variance_scan] sigma_values"),
+        (["--override", "optimizer.stop_threshold=nan"], "[optimizer] stop_threshold"),
+        (["--override", "optimizer.walkers=1"], "[optimizer] walkers"),
+        (["--override", "ansatz.structure_seed=-1"], "[ansatz] structure_seed"),
+        (["--override", "optimizer.workers=-4"], "[optimizer] workers"),
+        (HYBRID + ["--override", "hybrid.snapshot_interval=-2"], "[hybrid] snapshot_interval"),
+        (["--override", "experiment.seeds=0 0"], "[experiment] seeds"),
+        (["--seed", "1", "--seed", "1"], "[experiment] seeds"),
+        (["--override", "experiment.kind=variance_scan", "--override", "experiment.seeds=3 4",
+          "--override", "variance_scan.num_inits=2"], "[experiment] seeds"),
+        (["--override", "experiment.kind=variance_scan", "--seed", "3", "--seed", "4",
+          "--override", "variance_scan.num_inits=2"], "[experiment] seeds"),
     ], ids=["random-no-size", "layer-block-no-size", "qubit-block-size-0", "config-seed",
             "cli-seed", "rpqc-1-qubit", "alpqc-2-qubits", "0-layers", "hybrid-xnes",
             "compare-gd-gd", "rpqc-size-above-params", "alpqc-size-above-params",
             "typo-walker", "typo-max-iteration", "default-section",
-            "hamiltonian-wider-than-ansatz", "hamiltonian-parse-error"])
+            "hamiltonian-wider-than-ansatz", "hamiltonian-parse-error",
+            "gd-learning-rate-negative", "max-iterations-negative", "warmup-negative",
+            "scan-walker-count-0", "sigma-init-inf", "gd-max-iterations-negative",
+            "scan-sigma-0", "scan-sigma-empty", "stop-threshold-nan", "snes-one-walker",
+            "structure-seed-negative",
+            "workers-negative",
+            "snapshot-interval-negative", "config-seeds-repeated", "cli-seeds-repeated",
+            "scan-two-config-seeds", "scan-two-cli-seeds"])
     def test_rejected_at_load_before_output(self, tmp_path, capsys, args, key):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         # the config's circuit has 3 qubits
@@ -420,7 +478,7 @@ class TestCli:
         for family, size in (("rpqc", "6"), ("alpqc", "8")):
             config = load_config(path, overrides={"experiment.kind": "batch",
                                                   "ansatz.family": family, "batch.size": size})
-            assert config.batch_size == config.ansatz.build().num_params
+            assert config.partition.batch_size == config.ansatz.build().num_params
 
     def test_preset_batch_size_above_parameter_count(self, tmp_path, capsys):
         preset = CONFIGS / "batch_q10_l50_snes.ini"

@@ -14,6 +14,7 @@ from qnes.nes import (
     canonical_step,
     compute_utilities,
     default_learning_rates,
+    initial_distribution,
     optimize,
     sample_walkers,
     snes_step,
@@ -264,6 +265,49 @@ class TestCanonicalStep:
         new = canonical_step(dist, batch, NesConfig(population=2, eta_mu=0.5))
         assert new.mu[0] < 0.0  # moved against the gradient
         assert new.sigma == dist.sigma
+
+
+def same_distribution(a, b):
+    """Same type and bit-identical fields."""
+    return type(a) is type(b) and vars(a).keys() == vars(b).keys() and all(
+        np.array_equal(vars(a)[name], vars(b)[name]) for name in vars(a))
+
+
+class TestInitialDistribution:
+    """initial_distribution builds the objects the harness, batch and hybrid runners built."""
+
+    @pytest.mark.parametrize("sigma_init", [0.1, 0.25, 1])
+    def test_snes(self, sigma_init):
+        mu = SeededRng(3).uniform(7, 0, 2 * np.pi)
+        built = initial_distribution("snes", mu, sigma_init)
+        assert same_distribution(built, SeparableDistribution(mu=mu, sigma=np.full(7, sigma_init)))
+        idx = np.array([1, 4, 5])
+        assert same_distribution(
+            initial_distribution("snes", mu[idx], sigma_init),
+            SeparableDistribution(mu=mu[idx], sigma=np.full(len(idx), float(sigma_init))))
+        assert built.sigma.dtype == np.float64
+
+    @pytest.mark.parametrize("sigma_init", [0.1, 0.25, 1])
+    def test_xnes(self, sigma_init):
+        mu = SeededRng(4).uniform(5, 0, 2 * np.pi)
+        built = initial_distribution("xnes", mu, sigma_init)
+        assert same_distribution(built, FullDistribution.isotropic(mu, sigma_init))
+        assert np.array_equal(built.shape, np.eye(5))
+
+    @pytest.mark.parametrize("sigma_init", [0.1, 0.25])
+    def test_canonical(self, sigma_init):
+        mu = SeededRng(5).uniform(4, 0, 2 * np.pi)
+        assert same_distribution(initial_distribution("canonical", mu, sigma_init),
+                                 IsotropicDistribution(mu=mu, sigma=sigma_init))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="gd"):
+            initial_distribution("gd", np.zeros(2), 0.1)
+
+    def test_non_positive_width_rejected(self):
+        for kind in ("snes", "xnes", "canonical"):
+            with pytest.raises(ValueError, match="sigma"):
+                initial_distribution(kind, np.zeros(2), 0.0)
 
 
 class TestOptimize:
