@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -25,64 +26,49 @@ MIN_SIZE = {"rpqc": (2, 1), "alpqc": (3, 1)}
 
 @dataclass(frozen=True)
 class CircuitTemplate:
-    """Ordered gate list with distinct parameter slots.
+    """Ordered gate list whose parameter slots are exactly 0..P-1.
 
-    slot_layers / slot_qubits map each slot to the layer and qubit that own it;
-    the batching strategies group slots through these.
+    `gates` may be any iterable; it is stored as a tuple. Everything else
+    follows from the gates: P is the number of slotted gates, slot_qubits[s] is
+    the qubit of the gate with slot s, and slot_layers[s] is
+    s * num_layers // P, so each layer owns a run of consecutive slots (all in
+    layer 0 without layers). The batching strategies group slots through these.
     """
 
     num_qubits: int
-    num_layers: int
     gates: tuple[Gate, ...]
-    num_params: int
-    slot_layers: tuple[int, ...]
-    slot_qubits: tuple[int, ...]
+    num_layers: int = 0
     family: str = "custom"
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
-        slots = []
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"gate target {q} out of range")
-            if g.slot is not None:
-                slots.append(g.slot)
-        if sorted(slots) != list(range(self.num_params)):
+        slots = sorted(g.slot for g in self.gates if g.slot is not None)
+        if slots != list(range(len(slots))):
             raise ValueError("parameter slots must cover 0..num_params-1 exactly once")
-        if len(self.slot_layers) != self.num_params or len(self.slot_qubits) != self.num_params:
-            raise ValueError("slot metadata length must equal num_params")
+
+    @cached_property
+    def slot_qubits(self) -> tuple[int, ...]:
+        qubit = {g.slot: g.qubits[0] for g in self.gates if g.slot is not None}
+        return tuple(qubit[s] for s in range(len(qubit)))
+
+    @cached_property
+    def num_params(self) -> int:
+        return len(self.slot_qubits)
+
+    @cached_property
+    def slot_layers(self) -> tuple[int, ...]:
+        return tuple(s * self.num_layers // self.num_params for s in range(self.num_params))
 
     @cached_property
     def plan(self) -> tuple:
         """The simulator's compiled ops and fixed angles, built on first use."""
         return compile_circuit(self)
-
-
-def template_from_gates(
-    num_qubits: int,
-    gates,
-    num_layers: int = 0,
-    slot_layers=None,
-    family: str = "custom",
-) -> CircuitTemplate:
-    """Assemble a template from gates, deriving slot counts and per-slot qubits."""
-    gates = tuple(gates)
-    slot_qubit = {g.slot: g.qubits[0] for g in gates if g.slot is not None}
-    num_params = len(slot_qubit)
-    if slot_layers is None:
-        slot_layers = (0,) * num_params
-    slot_qubits = tuple(slot_qubit.get(s, 0) for s in range(num_params))
-    return CircuitTemplate(
-        num_qubits=num_qubits,
-        num_layers=num_layers,
-        gates=gates,
-        num_params=num_params,
-        slot_layers=tuple(slot_layers),
-        slot_qubits=slot_qubits,
-        family=family,
-    )
 
 
 def check_size(family: str, num_qubits: int, num_layers: int) -> None:
@@ -104,28 +90,15 @@ def build_rpqc(num_qubits: int, num_layers: int, structure_seed: int) -> Circuit
     slot s belongs to layer s // Q on qubit s % Q.
     """
     check_size("rpqc", num_qubits, num_layers)
-    rng = SeededRng(structure_seed)
-    kinds = rng.integers(0, 3, size=num_qubits * num_layers)
+    kinds = SeededRng(structure_seed).integers(0, 3, size=num_qubits * num_layers)
     gates = _basis_rotation_layer(num_qubits)
-    slot_layers, slot_qubits = [], []
-    slot = 0
     for layer in range(num_layers):
         for q in range(num_qubits):
+            slot = layer * num_qubits + q
             gates.append(Gate(ROTATION_KINDS[kinds[slot]], (q,), slot=slot))
-            slot_layers.append(layer)
-            slot_qubits.append(q)
-            slot += 1
         for q in range(num_qubits - 1):
             gates.append(Gate("CZ", (q, q + 1)))
-    return CircuitTemplate(
-        num_qubits=num_qubits,
-        num_layers=num_layers,
-        gates=tuple(gates),
-        num_params=slot,
-        slot_layers=tuple(slot_layers),
-        slot_qubits=tuple(slot_qubits),
-        family="rpqc",
-    )
+    return CircuitTemplate(num_qubits, gates, num_layers, "rpqc")
 
 
 def build_alpqc(num_qubits: int, num_layers: int) -> CircuitTemplate:
@@ -137,32 +110,14 @@ def build_alpqc(num_qubits: int, num_layers: int) -> CircuitTemplate:
     """
     check_size("alpqc", num_qubits, num_layers)
     gates = _basis_rotation_layer(num_qubits)
-    slot_layers, slot_qubits = [], []
-    slot = 0
-    for layer in range(num_layers):
-        for q in range(num_qubits - 1):
-            gates.append(Gate("RY", (q,), slot=slot))
-            slot_layers.append(layer)
-            slot_qubits.append(q)
-            slot += 1
-        for q in range(0, num_qubits - 1, 2):
-            gates.append(Gate("CZ", (q, q + 1)))
-        for q in range(1, num_qubits):
-            gates.append(Gate("RY", (q,), slot=slot))
-            slot_layers.append(layer)
-            slot_qubits.append(q)
-            slot += 1
-        for q in range(1, num_qubits - 1, 2):
-            gates.append(Gate("CZ", (q, q + 1)))
-    return CircuitTemplate(
-        num_qubits=num_qubits,
-        num_layers=num_layers,
-        gates=tuple(gates),
-        num_params=slot,
-        slot_layers=tuple(slot_layers),
-        slot_qubits=tuple(slot_qubits),
-        family="alpqc",
-    )
+    slots = count()
+    for _ in range(num_layers):
+        for first in (0, 1):
+            for q in range(first, num_qubits - 1 + first):
+                gates.append(Gate("RY", (q,), slot=next(slots)))
+            for q in range(first, num_qubits - 1, 2):
+                gates.append(Gate("CZ", (q, q + 1)))
+    return CircuitTemplate(num_qubits, gates, num_layers, "alpqc")
 
 
 @dataclass(frozen=True)

@@ -59,11 +59,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        rows = summarize(args.traces)
+        write_summary_csv(Path(args.out), summarize(args.traces))
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
-    write_summary_csv(Path(args.out), rows)
     print(f"wrote {args.out}")
     return 0
 

@@ -99,6 +99,12 @@ def _positive(value) -> float:
     return number
 
 
+def _path(value: str) -> str:
+    if not value:
+        raise ValueError("must be a non-empty path; . is the config's own directory")
+    return value
+
+
 def _build(section: str, factory, *args, **kwargs):
     """factory(*args, **kwargs), with its ValueError (which names a key) as a ConfigError."""
     try:
@@ -181,7 +187,7 @@ def parse_config_text(text: str, base_dir: Path | None = None,
     config = ExperimentConfig(
         experiment=experiment,
         seeds=seeds,
-        out_dir=base_dir / get("experiment", "out", "runs/out"),
+        out_dir=base_dir / get("experiment", "out", "runs/out", _path),
         ansatz=ansatz,
         optimizer=optimizer,
         sigma_init=get("optimizer", "sigma_init", "0.1", _positive),
@@ -266,8 +272,14 @@ def load_config(path, overrides: dict[str, str] | None = None, seeds=None,
     overrides = dict(overrides or {})
     if seeds is not None:
         overrides["experiment.seeds"] = " ".join(str(int(s)) for s in seeds)
-    config = parse_config_text(path.read_text(encoding="utf-8"), path.parent, overrides)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    config = parse_config_text(text, path.parent, overrides)
     if out_dir is not None:
+        if not str(out_dir).strip():
+            raise ConfigError("invalid value for [experiment] out: --out must be a non-empty path")
         config.out_dir = Path(out_dir)
         config.echo["experiment.out"] = str(out_dir)
     return config

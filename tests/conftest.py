@@ -8,7 +8,7 @@ phase-vector kernel.
 import numpy as np
 import pytest
 
-from qnes.ansatz import template_from_gates
+from qnes.ansatz import CircuitTemplate
 from qnes.numerics import SeededRng
 from qnes.simulator import Gate, ROTATION_KINDS
 
@@ -95,7 +95,7 @@ def random_template(rng: SeededRng, num_qubits, num_gates, cz_probability=0.3):
                 gates.append(Gate(kind, (q,), angle=float(rng.uniform(1, 0, 2 * np.pi)[0])))
     if slot == 0:
         gates.append(Gate("RY", (0,), slot=0))
-    return template_from_gates(num_qubits, gates)
+    return CircuitTemplate(num_qubits, gates)
 
 
 @pytest.fixture

@@ -4,9 +4,9 @@ import pytest
 from qnes.ansatz import (
     AnsatzSpec,
     BASIS_ROTATION_ANGLE,
+    CircuitTemplate,
     build_alpqc,
     build_rpqc,
-    template_from_gates,
     template_to_text,
 )
 from qnes.simulator import Gate
@@ -102,6 +102,16 @@ class TestAlpqc:
         with pytest.raises(ValueError, match="qubits"):
             build_alpqc(2, 1)
 
+    @pytest.mark.parametrize("qubits, layers", [(3, 1), (4, 3), (5, 2), (8, 7)])
+    def test_slot_metadata(self, qubits, layers):
+        # per layer: RY on qubits 0..Q-2, then RY on qubits 1..Q-1
+        per_layer = list(range(qubits - 1)) + list(range(1, qubits))
+        t = build_alpqc(qubits, layers)
+        assert t.slot_qubits == tuple(per_layer * layers)
+        assert t.slot_layers == tuple(layer for layer in range(layers) for _ in per_layer)
+        # each slot's qubit is the qubit of the gate carrying that slot
+        assert all(t.slot_qubits[g.slot] == g.qubits[0] for g in t.gates if g.slot is not None)
+
 
 class TestAnsatzSpec:
     def test_build_dispatch(self):
@@ -154,11 +164,42 @@ class TestSerialization:
         )
 
 
+class TestCustomTemplate:
+    def test_built_from_a_list_of_gates(self):
+        gates = [Gate("RY", (0,), angle=0.5), Gate("RX", (1,), slot=0), Gate("CZ", (0, 1)),
+                 Gate("RZ", (0,), slot=1)]
+        t = CircuitTemplate(2, gates)
+        assert t.gates == tuple(gates)
+        assert (t.num_params, t.num_layers, t.family) == (2, 0, "custom")
+        assert t.slot_qubits == (1, 0)
+        assert t.slot_layers == (0, 0)
+        assert CircuitTemplate(2, iter(gates)) == t
+        assert hash(CircuitTemplate(2, gates)) == hash(t)
+
+    def test_slot_qubits_follow_slot_numbers_not_gate_order(self):
+        t = CircuitTemplate(3, [Gate("RY", (2,), slot=1), Gate("RX", (0,), slot=2),
+                                Gate("RZ", (1,), slot=0)])
+        assert t.slot_qubits == (1, 2, 0)
+
+    def test_slot_layers_split_slots_evenly(self):
+        gates = [Gate("RY", (s % 2,), slot=s) for s in range(6)]
+        assert CircuitTemplate(2, gates, num_layers=3).slot_layers == (0, 0, 1, 1, 2, 2)
+
+    def test_no_slots(self):
+        t = CircuitTemplate(2, [Gate("CZ", (0, 1))], num_layers=1)
+        assert (t.num_params, t.slot_qubits, t.slot_layers) == (0, (), ())
+
+
 class TestTemplateValidation:
     def test_slots_must_be_dense(self):
         with pytest.raises(ValueError, match="slots"):
-            template_from_gates(2, [Gate("RX", (0,), slot=1)])
+            CircuitTemplate(2, [Gate("RX", (0,), slot=1)])
+
+    @pytest.mark.parametrize("slots", [(0, 0), (1, 2), (0, 2), (-1, 0)])
+    def test_slots_must_be_zero_to_p_minus_one_once(self, slots):
+        with pytest.raises(ValueError, match="slots"):
+            CircuitTemplate(2, [Gate("RY", (0,), slot=s) for s in slots])
 
     def test_targets_in_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            template_from_gates(1, [Gate("CZ", (0, 1))])
+            CircuitTemplate(1, [Gate("CZ", (0, 1))])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qnes.gradients
-from qnes.ansatz import build_alpqc, build_rpqc, template_from_gates
+from qnes.ansatz import CircuitTemplate, build_alpqc, build_rpqc
 from qnes.gradients import (
     GdConfig,
     VarianceScanConfig,
@@ -24,7 +24,7 @@ from qnes.trace import RunTrace
 
 
 def single_ry():
-    return template_from_gates(1, [Gate("RY", (0,), slot=0)])
+    return CircuitTemplate(1, [Gate("RY", (0,), slot=0)])
 
 
 def finite_difference(fn, params, h=1e-5):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import dense_pauli_string, random_template
 
-from qnes.ansatz import template_from_gates
+from qnes.ansatz import CircuitTemplate
 from qnes.gradients import loss_functions
 from qnes import hamiltonian
 from qnes.hamiltonian import (
@@ -191,12 +191,12 @@ def energy(template, params, h):
 
 class TestVqeFitness:
     def test_vacuum_expectation_of_z(self):
-        template = template_from_gates(1, [])
+        template = CircuitTemplate(1, [])
         h = PauliSum.build(1, [(1.0, {0: "Z"})])
         assert np.isclose(energy(template, np.zeros(0), h), 1.0)
 
     def test_flipped_qubit(self):
-        template = template_from_gates(1, [Gate("RY", (0,), slot=0)])
+        template = CircuitTemplate(1, [Gate("RY", (0,), slot=0)])
         h = PauliSum.build(1, [(1.0, {0: "Z"})])
         assert np.isclose(energy(template, np.array([np.pi]), h), -1.0)
 

@@ -383,6 +383,17 @@ class TestCli:
     def test_missing_config_exit_two(self, capsys):
         assert main(["run", "/nonexistent/config.ini"]) == 2
 
+    def test_directory_config_exit_two(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(STATEPREP_CONFIG.format(out="o").encode() + b"# caf\xe9\n")
+        assert main(["run", str(path)]) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_override_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         assert main(["run", str(path), "--override", "walkers9"]) == 2
@@ -452,6 +463,7 @@ class TestCli:
           "--override", "variance_scan.num_inits=2"], "[experiment] seeds"),
         (["--override", "experiment.kind=variance_scan", "--seed", "3", "--seed", "4",
           "--override", "variance_scan.num_inits=2"], "[experiment] seeds"),
+        (["--override", "experiment.out="], "[experiment] out"),
     ], ids=["random-no-size", "layer-block-no-size", "qubit-block-size-0", "config-seed",
             "cli-seed", "rpqc-1-qubit", "alpqc-2-qubits", "0-layers", "hybrid-xnes",
             "compare-gd-gd", "rpqc-size-above-params", "alpqc-size-above-params",
@@ -463,7 +475,7 @@ class TestCli:
             "structure-seed-negative",
             "workers-negative",
             "snapshot-interval-negative", "config-seeds-repeated", "cli-seeds-repeated",
-            "scan-two-config-seeds", "scan-two-cli-seeds"])
+            "scan-two-config-seeds", "scan-two-cli-seeds", "out-empty"])
     def test_rejected_at_load_before_output(self, tmp_path, capsys, args, key):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         # the config's circuit has 3 qubits
@@ -472,6 +484,20 @@ class TestCli:
         assert main(["run", str(path), *args]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "circuit.txt").exists()
+
+    @pytest.mark.parametrize("out", ["", " "])
+    def test_empty_out_flag_rejected(self, tmp_path, capsys, monkeypatch, out):
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(path), "--out", out]) == 2
+        assert "[experiment] out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_dot_out_writes_into_config_directory(self, tmp_path, capsys):
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="."))
+        assert main(["run", str(path), "--override", "experiment.max_iterations=2"]) == 0
+        assert (tmp_path / "circuit.txt").exists()
 
     def test_batch_size_up_to_parameter_count_accepted(self, tmp_path):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
@@ -550,3 +576,11 @@ class TestCli:
         constant_trace_csv(a, [0.2, 0.2])
         constant_trace_csv(b, [0.2, 0.2], iterations=[0, 2])
         assert main(["summarize", str(a), str(b), "--out", str(tmp_path / "s.csv")]) == 3
+
+    def test_summarize_write_failure_exit_three(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        constant_trace_csv(a, [0.25, 0.2])
+        out = tmp_path / "missing_dir" / "s.csv"
+        assert main(["summarize", str(a), "--out", str(out)]) == 3
+        assert "runtime failure" in capsys.readouterr().err
+        assert not out.parent.exists()

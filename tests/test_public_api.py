@@ -14,7 +14,7 @@ MODULES = ["qnes"] + sorted(f"qnes.{m.name}" for m in pkgutil.iter_modules(qnes.
 REMOVED = {
     "qnes.simulator": ["apply_gate", "stateprep_fitness", "stateprep_fitness_batch",
                        "apply_pauli_string"],
-    "qnes.ansatz": ["template_from_text", "FAMILIES"],
+    "qnes.ansatz": ["template_from_text", "FAMILIES", "template_from_gates"],
     "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse"],
     "qnes.numerics": ["scale_from_factor"],
     "qnes.hamiltonian": ["vqe_fitness", "vqe_fitness_batch", "dense_matrix", "MAX_DENSE_QUBITS"],

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import dense_pauli_string, dense_unitary, random_template
 
 from qnes import ansatz, simulator
-from qnes.ansatz import build_rpqc, template_from_gates
+from qnes.ansatz import CircuitTemplate, build_rpqc
 from qnes.gradients import loss_functions
 from qnes.simulator import (
     GATE_KINDS,
@@ -27,13 +27,13 @@ from qnes.simulator import (
 
 
 def single_slot_template(kind="RY"):
-    return template_from_gates(1, [Gate(kind, (0,), slot=0)])
+    return CircuitTemplate(1, [Gate(kind, (0,), slot=0)])
 
 
 def flipped(num_qubits, *qubits, then=()):
     """Fixed RY(pi) on each listed qubit, then the gates in `then`; no parameter slots."""
     gates = [Gate("RY", (q,), angle=np.pi) for q in qubits] + list(then)
-    return template_from_gates(num_qubits, gates)
+    return CircuitTemplate(num_qubits, gates)
 
 
 def assert_rows_match_dense(template, rows):
@@ -76,7 +76,7 @@ class TestApplyGate:
     def test_per_row_angles_match_row_by_row(self, rng, kind):
         prefix = random_template(rng, 4, 12)
         gate = Gate("CZ", (1, 3)) if kind == "CZ" else Gate(kind, (2,), slot=prefix.num_params)
-        template = template_from_gates(4, prefix.gates + (gate,))
+        template = CircuitTemplate(4, prefix.gates + (gate,))
         rows = rng.uniform(5 * template.num_params, 0, 2 * np.pi).reshape(5, -1)
         assert_rows_match_dense(template, rows)
 
@@ -84,7 +84,7 @@ class TestApplyGate:
         template = random_template(rng, 3, 24)
         params = rng.uniform(template.num_params, 0, 2 * np.pi)
         for n in range(1, len(template.gates) + 1):
-            prefix = template_from_gates(3, template.gates[:n])
+            prefix = CircuitTemplate(3, template.gates[:n])
             state = run_circuit_batch(prefix, params[None, :prefix.num_params])[0]
             assert abs(norm_squared(state) - 1.0) < 1e-10
 
@@ -109,7 +109,7 @@ def circuits(draw):
             slot += 1
     b = draw(st.integers(1, 5))
     values = draw(st.lists(ANGLES, min_size=b * slot, max_size=b * slot))
-    return template_from_gates(q, gates), np.array(values).reshape(b, slot)
+    return CircuitTemplate(q, gates), np.array(values).reshape(b, slot)
 
 
 class TestDenseOracleProperty:
@@ -121,19 +121,19 @@ class TestDenseOracleProperty:
     @example((flipped(3, 0, 2, then=[Gate("CZ", (0, 2))]), np.zeros((2, 0))))
     @example((flipped(4, 1, 3, then=[Gate("RX", (0,), slot=0), Gate("CZ", (3, 1))]),
               np.array([[0.4], [1.9], [-0.8], [2.5], [6.0]])))
-    @example((template_from_gates(4, [Gate("CZ", (0, 1)), Gate("CZ", (1, 2)), Gate("CZ", (2, 3)),
+    @example((CircuitTemplate(4, [Gate("CZ", (0, 1)), Gate("CZ", (1, 2)), Gate("CZ", (2, 3)),
                                       Gate("RY", (1,), slot=0), Gate("RX", (3,), slot=1),
                                       Gate("CZ", (1, 3))]),
               np.array([[0.9, -1.7], [2.6, 0.4]])))
     @example((flipped(3, 0, then=[Gate("RX", (1,), slot=0), Gate("RY", (2,), angle=1.2),
                                   Gate("CZ", (0, 1)), Gate("CZ", (1, 2))]),
               np.array([[0.5], [-2.2], [3.1]])))
-    @example((template_from_gates(5, [Gate("RY", (q,), angle=0.3 + q) for q in range(5)]
+    @example((CircuitTemplate(5, [Gate("RY", (q,), angle=0.3 + q) for q in range(5)]
                                   + [Gate("CZ", (4, 0)), Gate("CZ", (3, 1)), Gate("CZ", (2, 0)),
                                      Gate("CZ", (1, 0)), Gate("RZ", (0,), slot=0),
                                      Gate("RX", (2,), slot=1)]),
               np.array([[1.3, -0.6], [-2.9, 2.0]])))
-    @example((template_from_gates(3, [Gate("CZ", (0, 1)), Gate("CZ", (2, 1)), Gate("CZ", (0, 2))]),
+    @example((CircuitTemplate(3, [Gate("CZ", (0, 1)), Gate("CZ", (2, 1)), Gate("CZ", (0, 2))]),
               np.zeros((2, 0))))
     def test_batch_rows_match_dense_columns(self, case):
         assert_rows_match_dense(*case)
@@ -164,7 +164,7 @@ class TestCompiledPlan:
 
 class TestRunCircuit:
     def test_empty_circuit_is_identity(self):
-        template = template_from_gates(2, [])
+        template = CircuitTemplate(2, [])
         assert np.allclose(run_circuit(template, np.zeros(0)), [1, 0, 0, 0])
 
     def test_single_ry_half_pi(self):
@@ -198,7 +198,7 @@ class TestRunCircuit:
                     a, b = (int(v) for v in rng.permutation(q)[:2])
                     at = int(rng.integers(0, len(gates) + 1, 1)[0])
                     gates.insert(at, Gate("CZ", (a, b)))
-                template = template_from_gates(q, gates)
+                template = CircuitTemplate(q, gates)
                 params = rng.uniform(template.num_params, 0, 2 * np.pi)
                 expected = dense_unitary(template, params)[:, 0]
                 assert np.max(np.abs(run_circuit(template, params) - expected)) < 1e-10
@@ -237,7 +237,7 @@ def stateprep_loss(template, params):
 
 class TestStateprepFitness:
     def test_identity_circuit_is_perfect(self):
-        template = template_from_gates(2, [Gate("RZ", (0,), slot=0)])
+        template = CircuitTemplate(2, [Gate("RZ", (0,), slot=0)])
         assert stateprep_loss(template, [1.3]) < 1e-12
 
     def test_half_pi(self):
