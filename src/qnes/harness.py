@@ -282,6 +282,8 @@ def load_config(path, overrides: dict[str, str] | None = None, seeds=None,
             raise ConfigError("invalid value for [experiment] out: --out must be a non-empty path")
         config.out_dir = Path(out_dir)
         config.echo["experiment.out"] = str(out_dir)
+    if not next(p for p in (config.out_dir, *config.out_dir.parents) if p.exists()).is_dir():
+        raise ConfigError(f"invalid value for [experiment] out: not a directory: {config.out_dir}")
     return config
 
 

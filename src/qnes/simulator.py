@@ -11,10 +11,10 @@ either a single vector of shape (2**Q,) or a batch of shape (B, 2**Q); batched
 runs evaluate many parameter vectors of the same circuit at once.
 
 Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
-`template.plan`), with each run of adjacent CZ gates as one sign vector; a Pauli
+`template.plan`, the leading fixed gates already run into its start state); a Pauli
 sum into a (coeff, perm, phase) table per state width (`_terms`), shared by the
-observable and the Lanczos ground-energy oracle. The kernel and the observable
-take their state-sized temporaries from per-thread scratch buffers (`_scratch`).
+observable and the Lanczos ground-energy oracle. The kernel works in place with one
+state-sized temporary and the observable with three, from per-thread `_scratch`.
 """
 
 from __future__ import annotations
@@ -194,29 +194,56 @@ def _scratch(shape: tuple[int, int], count: int) -> tuple[np.ndarray, ...]:
     return tuple(block[i, :rows] for i in range(count))
 
 
-def compile_circuit(template) -> tuple[tuple, np.ndarray]:
-    """(ops, fixed): the template as kernel ops, and its fixed angles in gate order.
+def _sweep(state, ops, angles, tmp) -> None:
+    """Apply `ops` in place to the (B, 2**Q) `state` at the (B, C) `angles`, with `tmp`
+    as the one temporary; cos, and -i sin over -sin, are (B, 1) blocks per column."""
+    half = 0.5 * angles.T[:, :, None]
+    sin = np.sin(half)
+    cos, coeff = np.cos(half), np.concatenate([-1j * sin, -sin])
+    for perm, phase, column in ops:
+        if column is None:
+            state *= phase
+            continue
+        if perm is None:
+            np.multiply(state, phase, out=tmp)
+        else:
+            state.take(perm, axis=1, out=tmp, mode="clip")
+            if phase is not None:
+                tmp *= phase
+        state *= cos[column]
+        tmp *= coeff[column]
+        state += tmp
 
-    Each op is (perm, phase, column). A rotation takes its angle from `column` of
-    the matrix [parameter rows | fixed angles]: its slot, or P plus its place among
-    the fixed-angle gates. A run of adjacent CZ gates is one op with column None
-    whose phase is the run's sign vector.
+
+def compile_circuit(template) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(ops, fixed, start): the template as kernel ops from its first slotted gate on,
+    its fixed angles, and the state the ops before that gate make from |0...0>.
+
+    Each op is (perm, phase, column). A rotation reads `column` of the C-column matrix
+    [parameter rows | fixed angles]: its slot, or P plus its place among the fixed
+    angles; an RY's is that less C, which picks the same cos and the -sin coefficient
+    block. A run of adjacent CZ gates is one op, column None, phase its sign vector.
     """
-    ops, fixed = [], []
+    width = template.num_params + sum(g.angle is not None for g in template.gates)
+    ops, fixed, lead = [], [], len(template.gates)
     for is_cz, gates in groupby(template.gates, key=lambda g: g.kind == "CZ"):
         if is_cz:
-            pairs = tuple(g.qubits for g in gates)
-            ops.append((None, _cz_sign(template.num_qubits, pairs), None))
+            ops.append((None, _cz_sign(template.num_qubits, tuple(g.qubits for g in gates)), None))
             continue
         for gate in gates:
             if gate.slot is not None:
-                column = gate.slot
+                column, lead = gate.slot, min(lead, len(ops))
             else:
                 column = template.num_params + len(fixed)
                 fixed.append(gate.angle)
             perm, phase = _pauli_action(template.num_qubits, ((gate.qubits[0], gate.kind[1]),))
+            if gate.kind == "RY":  # Y|psi> = -i z psi[perm] for the real sign vector z
+                phase, column = _z_sign(template.num_qubits, gate.qubits[0]), column - width
             ops.append((perm, phase, column))
-    return tuple(ops), np.array(fixed, dtype=float)
+    start = zero_state(template.num_qubits, batch=1)
+    angles = np.array([[0.0] * template.num_params + fixed])
+    _sweep(start, ops[:lead], angles, np.empty_like(start))
+    return tuple(ops[lead:]), angles[0, template.num_params:], start[0]
 
 
 def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
@@ -228,25 +255,11 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(param_rows).all():
         raise ValueError("parameter rows must be finite")
-    ops, fixed = template.plan
+    ops, fixed, start = template.plan
     b = param_rows.shape[0]
-    half = 0.5 * np.hstack([param_rows, np.broadcast_to(fixed, (b, fixed.size))])
-    cos_half, minus_i_sin = np.cos(half), -1j * np.sin(half)
-    state = zero_state(template.num_qubits, batch=b)
-    tmp, buf = _scratch(state.shape, 2)
-    for perm, phase, column in ops:
-        if column is None:
-            np.multiply(state, phase, out=state)
-            continue
-        if perm is None:
-            np.multiply(state, phase, out=tmp)
-        else:
-            np.take(state, perm, axis=1, out=tmp, mode="clip")
-            if phase is not None:
-                tmp *= phase
-        np.multiply(state, cos_half[:, column, None], out=buf)
-        np.multiply(tmp, minus_i_sin[:, column, None], out=tmp)
-        np.add(buf, tmp, out=state)
+    state = np.broadcast_to(start, (b, start.size)).copy()
+    angles = np.hstack([param_rows, np.broadcast_to(fixed, (b, fixed.size))])
+    _sweep(state, ops, angles, *_scratch(state.shape, 1))
     drift = np.max(np.abs(norm_squared(state) - 1.0))
     if not drift <= NORM_TOL:
         raise RuntimeError(f"statevector norm drifted by {drift:.3e}")
@@ -288,10 +301,10 @@ def pauli_expectation_batch(state: np.ndarray, h: PauliSum) -> np.ndarray:
         if perm is None:
             term = rows if phase is None else np.multiply(rows, phase, out=phi)
         else:
-            term = np.take(rows, perm, axis=-1, out=phi, mode="clip")
+            term = rows.take(perm, axis=-1, out=phi, mode="clip")
             if phase is not None:
                 term *= phase
-        total += coeff * np.sum(np.multiply(conj, term, out=prod), axis=-1)
+        total += coeff * np.add.reduce(np.multiply(conj, term, out=prod), axis=-1)
     residue = np.max(np.abs(total.imag)) if total.size else 0.0
     if residue > IMAG_RESIDUE_TOL:
         raise RuntimeError(f"expectation has imaginary residue {residue:.3e}")

@@ -1,8 +1,10 @@
-"""Shared test helpers: a dense-matrix circuit oracle and random circuit generation.
+"""Shared test helpers: a dense-matrix circuit oracle, a per-gate bit referee and
+random circuit generation.
 
 The oracle builds the full 2**Q x 2**Q unitary from explicit Kronecker products
 and dense multiplication; it shares no code with the simulator's permutation and
-phase-vector kernel.
+phase-vector kernel. The referee applies the kernel's own formula one gate at a
+time, with no compiled plan, so the kernel must match it bit for bit.
 """
 
 import numpy as np
@@ -76,6 +78,29 @@ def dense_unitary(template, params):
             )
         unitary = full @ unitary
     return unitary
+
+
+def per_gate_states(template, rows):
+    """Every row's state, one gate at a time: a rotation gathers through the bit flip
+    (RX, RY), multiplies by the Pauli phase (RY: i(2b - 1), RZ: 1 - 2b), then takes
+    cos(theta/2) * psi + (-i sin(theta/2)) * tmp; each CZ multiplies by its own sign."""
+    idx = np.arange(2**template.num_qubits)
+    state = np.zeros((rows.shape[0], idx.size), dtype=complex)
+    state[:, 0] = 1.0
+    for gate in template.gates:
+        bit = [(idx >> q) & 1 for q in gate.qubits]
+        if gate.kind == "CZ":
+            state = state * (1.0 - 2.0 * (bit[0] & bit[1]))
+            continue
+        theta = rows[:, gate.slot] if gate.slot is not None else np.full(len(rows), gate.angle)
+        half = 0.5 * theta[:, None]
+        tmp = state if gate.kind == "RZ" else state[:, idx ^ (1 << gate.qubits[0])]
+        if gate.kind == "RY":
+            tmp = tmp * (1j * (2.0 * bit[0] - 1.0))
+        elif gate.kind == "RZ":
+            tmp = tmp * (1.0 - 2.0 * bit[0])
+        state = state * np.cos(half) + tmp * (-1j * np.sin(half))
+    return state
 
 
 def random_template(rng: SeededRng, num_qubits, num_gates, cz_probability=0.3):

@@ -494,6 +494,18 @@ class TestCli:
         assert "[experiment] out" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_out_through_a_file_rejected(self, tmp_path, capsys, monkeypatch, out, where):
+        config_out = out if where == "config" else "o"
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out=config_out))
+        (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(path), *(["--out", out] if where == "flag" else [])]) == 2
+        assert "[experiment] out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "afile"])
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+
     def test_dot_out_writes_into_config_directory(self, tmp_path, capsys):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="."))
         assert main(["run", str(path), "--override", "experiment.max_iterations=2"]) == 0

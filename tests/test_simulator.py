@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dense_pauli_string, dense_unitary, random_template
+from conftest import dense_pauli_string, dense_unitary, per_gate_states, random_template
 
 from qnes import ansatz, simulator
-from qnes.ansatz import CircuitTemplate, build_rpqc
+from qnes.ansatz import CircuitTemplate, build_alpqc, build_rpqc
 from qnes.gradients import loss_functions
 from qnes.simulator import (
     GATE_KINDS,
@@ -139,6 +139,54 @@ class TestDenseOracleProperty:
         assert_rows_match_dense(*case)
 
 
+@st.composite
+def split_circuits(draw):
+    """(template, rows): a lead of fixed gates and CZs, a body that also has slotted
+    gates, then a tail of fixed gates and CZs, on 1-6 qubits with 1-17 rows. The plan
+    runs the gates before the first slot at compile time; that lead is empty, part or
+    (without slots) all of the circuit."""
+    q = draw(st.integers(1, 6))
+    gates, slot = [], 0
+    for part in ("lead", "body", "tail"):
+        for kind in draw(st.lists(st.sampled_from(GATE_KINDS if q > 1 else ROTATION_KINDS),
+                                  max_size=6)):
+            if kind == "CZ":
+                pair = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+                gates.append(Gate("CZ", tuple(pair)))
+            elif part == "body" and draw(st.booleans()):
+                gates.append(Gate(kind, (draw(st.integers(0, q - 1)),), slot=slot))
+                slot += 1
+            else:
+                gates.append(Gate(kind, (draw(st.integers(0, q - 1)),), angle=draw(ANGLES)))
+    b = draw(st.integers(1, 17))
+    values = draw(st.lists(ANGLES, min_size=b * slot, max_size=b * slot))
+    return CircuitTemplate(q, gates), np.array(values).reshape(b, slot)
+
+
+def with_rows(template, b):
+    """(template, b rows of angles in [-2 pi, 2 pi)), for an @example."""
+    rows = np.random.default_rng(3).uniform(-2 * np.pi, 2 * np.pi, (b, template.num_params))
+    return template, rows
+
+
+class TestPerGateReferee:
+    """The compiled kernel keeps every bit of the plain per-gate formula."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(split_circuits())
+    @example(with_rows(build_alpqc(4, 2), 17))
+    @example(with_rows(build_alpqc(3, 1), 1))
+    @example(with_rows(build_rpqc(5, 3, structure_seed=2), 9))
+    @example(with_rows(flipped(3, 0, 2, then=[Gate("CZ", (0, 1)), Gate("RX", (1,), angle=0.4)]),
+                       17))
+    @example(with_rows(CircuitTemplate(3, [Gate("RZ", (0,), slot=0), Gate("RY", (1,), angle=0.9),
+                                           Gate("CZ", (1, 2)), Gate("RX", (2,), slot=1),
+                                           Gate("RY", (0,), angle=-2.5)]), 5))
+    def test_kernel_matches_per_gate_formula_bit_for_bit(self, case):
+        template, rows = case
+        assert np.array_equal(run_circuit_batch(template, rows), per_gate_states(template, rows))
+
+
 class TestCompiledPlan:
     def test_template_compiles_once(self, monkeypatch):
         calls = []
@@ -155,11 +203,13 @@ class TestCompiledPlan:
 
     def test_cz_runs_are_one_shared_op(self):
         template = build_rpqc(10, 50, structure_seed=11)
-        ops, fixed = template.plan
-        assert len(template.gates) == 960 and len(ops) == 560
+        ops, fixed, start = template.plan
+        assert len(template.gates) == 960 and len(ops) == 550
         cz = [phase for _, phase, column in ops if column is None]
         assert len(cz) == 50 and all(phase is cz[0] for phase in cz)
         assert np.array_equal(fixed, np.full(10, np.pi / 4))
+        basis = CircuitTemplate(10, template.gates[:10])
+        assert np.array_equal(start, dense_unitary(basis, np.zeros(0))[:, 0])
 
 
 class TestRunCircuit:
