@@ -122,7 +122,11 @@ def build_alpqc(num_qubits: int, num_layers: int) -> CircuitTemplate:
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Reproducible circuit description: same spec always builds the same template."""
+    """Reproducible circuit description: same spec always builds the same template.
+
+    The parameter count is the built template's `num_params`; a spec does not
+    know it without a build.
+    """
 
     family: str
     num_qubits: int
@@ -134,15 +138,6 @@ class AnsatzSpec:
         if self.family not in MIN_SIZE:
             raise ValueError(f"family must be rpqc or alpqc, got {self.family!r}")
         check_size(self.family, self.num_qubits, self.num_layers)
-
-    @property
-    def num_params(self) -> int:
-        """Parameter count of the built template, without building it.
-
-        rpqc has one slot per qubit per layer, alpqc 2(Q-1) per layer.
-        """
-        per_layer = self.num_qubits if self.family == "rpqc" else 2 * (self.num_qubits - 1)
-        return per_layer * self.num_layers
 
     def build(self) -> CircuitTemplate:
         if self.family == "rpqc":

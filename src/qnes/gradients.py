@@ -180,21 +180,20 @@ def surrogate_gradient_variance_scan(template, config: VarianceScanConfig,
     """Variance across random initializations of the template's first gradient component.
 
     For every (sigma_init, walkers) cell the surrogate is the search-gradient
-    estimate; the exact column is the variance of the analytical gradient over
-    the same initializations. Parameters are drawn uniformly in [0, 2*pi), one
-    uncached child stream per initialization. Each initialization runs 2 shifted
-    rows for the exact component (not 2P: only component 0 is reported) plus k
-    rows per cell, or 2k for the symmetric estimator.
+    estimate. The exact column is `analytical_gradient_variance` over the same
+    initializations: 2 shifted rows each (not 2P: only component 0 is reported).
+    Parameters are drawn uniformly in [0, 2*pi), one uncached child stream per
+    initialization, which replays the same point for both columns. Each cell
+    runs k rows per initialization, or 2k for the symmetric estimator.
     """
     p = template.num_params
     combos = [(s, k) for s in config.sigma_values for k in config.walker_counts]
     surrogate = {combo: np.empty(config.num_inits) for combo in combos}
-    exact = np.empty(config.num_inits)
+    variance_exact = analytical_gradient_variance(template, config.observable,
+                                                  config.num_inits, rng)
     for i in range(config.num_inits):
         stream = rng.spawn(i)
         theta = stream.uniform(p, 0.0, 2.0 * np.pi)
-        exact[i] = parameter_shift_expectation_gradient(
-            template, theta, config.observable, components=(0,))[0]
         for sigma, k in combos:
             samples = np.stack([stream.normal(p) for _ in range(k)])
             forward = expectation_values(template, theta + sigma * samples, config.observable)
@@ -204,7 +203,6 @@ def surrogate_gradient_variance_scan(template, config: VarianceScanConfig,
                 backward = expectation_values(template, theta - sigma * samples, config.observable)
                 estimate = ((forward - backward) @ samples[:, 0]) / (2.0 * k * sigma)
             surrogate[(sigma, k)][i] = estimate
-    variance_exact = float(np.var(exact, ddof=1))
     return [
         VarianceScanRow(
             sigma_init=float(sigma),

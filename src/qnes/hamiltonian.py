@@ -31,11 +31,17 @@ from .simulator import PauliSum, _terms
 LANCZOS_MAX_STEPS = 1000
 LANCZOS_RTOL = 1e-13  # relative to sum|coeff|, a bound on the spectral radius
 
-_PAULI_TOKEN = re.compile(r"^([A-Za-z])(\d+)$")
+_PAULI_TOKEN = re.compile(r"^([XYZ])(\d+)$")
 
 
 def parse_pauli_file(text: str) -> PauliSum:
-    """Parse the Hamiltonian text format; errors carry the 1-based line number."""
+    """Parse the Hamiltonian text format; errors carry the 1-based line number.
+
+    The parser holds the format's own rules: the `qubits <N>` line, the number
+    syntax and the `<P><q>` tokens. Each term is then checked by `PauliSum`
+    (finite coefficient, qubit in range, no qubit twice), whose message gets the
+    term's line number in front.
+    """
     num_qubits = None
     terms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -59,25 +65,17 @@ def parse_pauli_file(text: str) -> PauliSum:
             raise ValueError(f"line {lineno}: invalid coefficient {tokens[0]!r}") from None
         if len(tokens) < 2:
             raise ValueError(f"line {lineno}: term has no Pauli factors")
-        if tokens[1:] == ["I"]:
-            terms.append((coeff, ()))
-            continue
         paulis = []
-        seen = set()
-        for token in tokens[1:]:
-            match = _PAULI_TOKEN.match(token)
-            if match is None or match.group(1) not in ("X", "Y", "Z"):
-                raise ValueError(f"line {lineno}: unknown Pauli factor {token!r}")
-            q = int(match.group(2))
-            if q >= num_qubits:
-                raise ValueError(
-                    f"line {lineno}: qubit index {q} >= declared qubit count {num_qubits}"
-                )
-            if q in seen:
-                raise ValueError(f"line {lineno}: duplicate qubit {q} within a term")
-            seen.add(q)
-            paulis.append((q, match.group(1)))
-        terms.append((coeff, tuple(sorted(paulis))))
+        if tokens[1:] != ["I"]:
+            for token in tokens[1:]:
+                match = _PAULI_TOKEN.match(token)
+                if match is None:
+                    raise ValueError(f"line {lineno}: unknown Pauli factor {token!r}")
+                paulis.append((int(match.group(2)), match.group(1)))
+        try:
+            terms += PauliSum(num_qubits, ((coeff, tuple(sorted(paulis))),)).terms
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if num_qubits is None:
         raise ValueError("file has no 'qubits <N>' line")
     return PauliSum(num_qubits=num_qubits, terms=tuple(terms))

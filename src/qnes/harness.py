@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ansatz import AnsatzSpec, template_to_text
+from .ansatz import AnsatzSpec, CircuitTemplate, template_to_text
 from .batching import PartitionStrategy, batch_optimize, make_partition
 from .gradients import (
     GdConfig,
@@ -55,12 +55,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """A loaded config: the library's option objects, built and range-checked at load."""
+    """A loaded config: the library's option objects, built and range-checked at load.
+
+    `template` is the circuit the run uses, built once from the [ansatz] keys.
+    """
 
     experiment: str
     seeds: tuple[int, ...]
     out_dir: Path
-    ansatz: AnsatzSpec
+    template: CircuitTemplate
     optimizer: str
     sigma_init: float
     workers: int
@@ -172,9 +175,9 @@ def parse_config_text(text: str, base_dir: Path | None = None,
 
     if not parser.has_section("ansatz"):
         raise ConfigError("missing [ansatz] section")
-    ansatz = _build("ansatz", AnsatzSpec, require("ansatz", "family"),
-                    require("ansatz", "qubits", int), require("ansatz", "layers", int),
-                    get("ansatz", "structure_seed", "0", _at_least(0)))
+    template = _build("ansatz", AnsatzSpec, require("ansatz", "family"),
+                      require("ansatz", "qubits", int), require("ansatz", "layers", int),
+                      get("ansatz", "structure_seed", "0", _at_least(0))).build()
 
     optimizer = get("optimizer", "kind", "snes")
     if optimizer not in OPTIMIZER_KINDS:
@@ -188,7 +191,7 @@ def parse_config_text(text: str, base_dir: Path | None = None,
         experiment=experiment,
         seeds=seeds,
         out_dir=base_dir / get("experiment", "out", "runs/out", _path),
-        ansatz=ansatz,
+        template=template,
         optimizer=optimizer,
         sigma_init=get("optimizer", "sigma_init", "0.1", _positive),
         workers=get("optimizer", "workers", "0", _at_least(0)),
@@ -207,7 +210,7 @@ def parse_config_text(text: str, base_dir: Path | None = None,
                                      tokens(lambda token: _positive(_parse_angle_token(token)))),
                     walker_counts=get("variance_scan", "walker_counts", "1 2 4 8",
                                       tokens(_at_least(1))),
-                    observable=local_cost_observable(ansatz.num_qubits)),
+                    observable=local_cost_observable(template.num_qubits)),
         hybrid_warmup=get("hybrid", "warmup", "5", _at_least(0)),
         hybrid_snapshot_interval=get("hybrid", "snapshot_interval", "0", _at_least(0)),
         hamiltonian=None if ham is None else _hamiltonian(ham, base_dir),
@@ -242,14 +245,14 @@ def _validate(config: ExperimentConfig) -> None:
         if config.experiment in ("stateprep", "variance_scan"):
             raise ConfigError(f"[vqe] hamiltonian is set, but kind = {config.experiment} "
                               "does not minimize an energy; use kind = vqe")
-        if h.num_qubits > config.ansatz.num_qubits:
+        if h.num_qubits > config.template.num_qubits:
             raise ConfigError(f"[vqe] hamiltonian acts on {h.num_qubits} qubits, "
-                              f"more than [ansatz] qubits = {config.ansatz.num_qubits}")
+                              f"more than [ansatz] qubits = {config.template.num_qubits}")
     elif config.experiment == "vqe":
         raise ConfigError("[vqe] hamiltonian is required for the vqe experiment")
     if config.experiment == "batch":
         try:
-            config.partition.check(config.ansatz.num_params)
+            config.partition.check(config.template.num_params)
         except ValueError as exc:
             raise ConfigError(f"[batch] {exc}".replace("batch_size", "size", 1)) from exc
         if config.optimizer not in ("snes", "xnes"):
@@ -258,7 +261,7 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("[optimizer] kind must be snes for hybrid (its warm-up is separable)")
     if config.experiment == "compare_gd" and config.optimizer == "gd":
         raise ConfigError("[optimizer] kind must be canonical, snes or xnes for compare_gd")
-    if config.experiment == "variance_scan" and config.ansatz.family != "rpqc":
+    if config.experiment == "variance_scan" and config.template.family != "rpqc":
         raise ConfigError("[ansatz] family must be rpqc for variance_scan, "
                           "which scans the random circuit")
 
@@ -363,7 +366,7 @@ def write_summary_csv(path: Path, rows, config: ExperimentConfig | None = None,
     _write_csv(path, "summary", SUMMARY_SCHEMA, rows, config, None, extra)
 
 
-def _problem(config: ExperimentConfig, template):
+def _problem(config: ExperimentConfig):
     """(loss, grad_fn, header_extra) of the configured loss.
 
     The energy of the [vqe] Hamiltonian when one is set, state preparation otherwise.
@@ -374,20 +377,20 @@ def _problem(config: ExperimentConfig, template):
         reference = exact_ground_energy(h)
         extra["exact_ground_energy"] = repr(reference)
         print(f"exact_ground_energy = {reference!r}")
-    return (*loss_functions(template, h), extra)
+    return (*loss_functions(config.template, h), extra)
 
 
-def _start(template, seed: int) -> tuple[SeededRng, np.ndarray]:
+def _start(config: ExperimentConfig, seed: int) -> tuple[SeededRng, np.ndarray]:
     """The seed's generator, after it drew the initial point uniformly in [0, 2*pi)."""
     rng = SeededRng(seed)
-    return rng, rng.uniform(template.num_params, 0.0, 2.0 * np.pi)
+    return rng, rng.uniform(config.template.num_params, 0.0, 2.0 * np.pi)
 
 
-def _run_nes(config: ExperimentConfig, template, loss, seed: int) -> RunTrace:
-    rng, mu0 = _start(template, seed)
+def _run_nes(config: ExperimentConfig, loss, seed: int) -> RunTrace:
+    rng, mu0 = _start(config, seed)
     trace = RunTrace()
     if config.experiment == "batch":
-        schedule = make_partition(template, config.partition, rng)
+        schedule = make_partition(config.template, config.partition, rng)
         batch_optimize(loss, schedule, mu0, config.sigma_init, config.nes, rng,
                        variant=config.optimizer, trace=trace, n_workers=config.workers)
     else:
@@ -396,8 +399,8 @@ def _run_nes(config: ExperimentConfig, template, loss, seed: int) -> RunTrace:
     return trace
 
 
-def _run_hybrid(config: ExperimentConfig, template, loss, grad_fn, seed: int) -> RunTrace:
-    rng, mu0 = _start(template, seed)
+def _run_hybrid(config: ExperimentConfig, loss, grad_fn, seed: int) -> RunTrace:
+    rng, mu0 = _start(config, seed)
     _, trace = hybrid_optimize(
         loss, grad_fn, mu0, config.hybrid_warmup, config.nes, config.gd,
         rng, sigma_init=config.sigma_init,
@@ -427,24 +430,24 @@ def _emit_summary(config: ExperimentConfig, traces: list[RunTrace], suffix: str,
 def run_experiment(config: ExperimentConfig) -> None:
     """Execute the configured experiment once per seed and write trace/summary CSVs."""
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    template = config.ansatz.build()
     # provenance: the exact gate list the run used
-    (config.out_dir / "circuit.txt").write_text(template_to_text(template), encoding="utf-8")
+    (config.out_dir / "circuit.txt").write_text(template_to_text(config.template),
+                                                encoding="utf-8")
     if config.experiment == "variance_scan":
-        _run_variance_scan(config, template)
+        _run_variance_scan(config)
         return
-    loss, grad_fn, extra = _problem(config, template)
+    loss, grad_fn, extra = _problem(config)
 
     def nes(seed):
-        return _run_nes(config, template, loss, seed)
+        return _run_nes(config, loss, seed)
 
     def gd(seed):
-        return gradient_descent(loss, grad_fn, _start(template, seed)[1], config.gd)[1]
+        return gradient_descent(loss, grad_fn, _start(config, seed)[1], config.gd)[1]
 
     if config.experiment == "compare_gd":
         runners = {"_nes": nes, "_gd": gd}
     elif config.experiment == "hybrid":
-        runners = {"": lambda seed: _run_hybrid(config, template, loss, grad_fn, seed)}
+        runners = {"": lambda seed: _run_hybrid(config, loss, grad_fn, seed)}
     else:
         runners = {"": gd if config.optimizer == "gd" else nes}
     traces = {suffix: _run_seeds(config, runner, suffix, extra)
@@ -453,9 +456,9 @@ def run_experiment(config: ExperimentConfig) -> None:
         _emit_summary(config, seed_traces, suffix, extra)
 
 
-def _run_variance_scan(config: ExperimentConfig, template) -> None:
+def _run_variance_scan(config: ExperimentConfig) -> None:
     rows = [(row.sigma_init, row.walkers, row.variance_surrogate, row.variance_exact)
-            for row in surrogate_gradient_variance_scan(template, config.scan,
+            for row in surrogate_gradient_variance_scan(config.template, config.scan,
                                                         SeededRng(config.seeds[0]))]
     _write_csv(config.out_dir / "variance_scan.csv", "variance-scan", SCAN_SCHEMA, rows,
                config, config.seeds[0])

@@ -234,14 +234,17 @@ def canonical_gradient_estimate(batch: WalkerBatch, sigma_init: float) -> np.nda
     return (fits @ batch.samples) / (fits.size * sigma_init)
 
 
-def _rank_order(fitnesses: np.ndarray | None) -> np.ndarray:
-    if fitnesses is None:
+def _ranked(batch: WalkerBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(utilities, samples best first, utilities @ samples) of a filled batch."""
+    if batch.fitnesses is None:
         raise ValueError("walker fitnesses are not filled")
-    fits = np.asarray(fitnesses, dtype=float)
+    fits = np.asarray(batch.fitnesses, dtype=float)
     if not np.all(np.isfinite(fits)):
         raise ValueError("walker fitness values must be finite")
     # ascending fitness = best first (minimization); stable sort breaks ties by walker index
-    return np.argsort(fits, kind="stable")
+    utilities = compute_utilities(fits.size)
+    s_sorted = batch.samples[np.argsort(fits, kind="stable")]
+    return utilities, s_sorted, utilities @ s_sorted
 
 
 def canonical_step(dist: IsotropicDistribution, batch: WalkerBatch,
@@ -255,11 +258,7 @@ def canonical_step(dist: IsotropicDistribution, batch: WalkerBatch,
 def snes_step(dist: SeparableDistribution, batch: WalkerBatch,
               config: NesConfig) -> SeparableDistribution:
     """One separable update: utility-weighted mean step, exponential sigma step."""
-    order = _rank_order(batch.fitnesses)
-    k = order.size
-    utilities = compute_utilities(k)
-    s_sorted = batch.samples[order]
-    grad_mu = utilities @ s_sorted
+    utilities, s_sorted, grad_mu = _ranked(batch)
     grad_sigma = utilities @ (s_sorted**2 - 1.0)
     cfg = config.resolved(dist.mu.size)
     mu = dist.mu + cfg.eta_mu * dist.sigma * grad_mu
@@ -269,13 +268,9 @@ def snes_step(dist: SeparableDistribution, batch: WalkerBatch,
 
 def xnes_step(dist: FullDistribution, batch: WalkerBatch, config: NesConfig) -> FullDistribution:
     """One full-covariance update in exponential coordinates; |det B| stays 1."""
-    order = _rank_order(batch.fitnesses)
-    k = order.size
-    utilities = compute_utilities(k)
-    s_sorted = batch.samples[order]
+    utilities, s_sorted, grad_mu = _ranked(batch)
     d = dist.mu.size
     eye = np.eye(d)
-    grad_mu = utilities @ s_sorted
     grad_m = np.einsum("n,ni,nj->ij", utilities, s_sorted, s_sorted) - utilities.sum() * eye
     grad_scale = np.trace(grad_m) / d
     grad_shape = grad_m - grad_scale * eye

@@ -82,7 +82,8 @@ class PauliSum:
                 if p not in ("X", "Y", "Z"):
                     raise ValueError(f"unknown Pauli letter {p!r}")
                 if not 0 <= q < self.num_qubits:
-                    raise ValueError(f"qubit index {q} out of range for {self.num_qubits} qubits")
+                    raise ValueError(f"qubit index {q} out of range: it must be >= 0 "
+                                     f"and < {self.num_qubits}")
                 if q in seen:
                     raise ValueError(f"duplicate qubit {q} within a term")
                 seen.add(q)
@@ -251,7 +252,7 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
     param_rows = np.asarray(param_rows, dtype=float)
     if param_rows.ndim != 2 or param_rows.shape[1] != template.num_params:
         raise ValueError(
-            f"expected parameter rows of width {template.num_params}, got shape {param_rows.shape}"
+            f"expected rows of {template.num_params} parameters, got shape {param_rows.shape}"
         )
     if not np.isfinite(param_rows).all():
         raise ValueError("parameter rows must be finite")
@@ -268,12 +269,7 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
 
 def run_circuit(template, params: np.ndarray) -> np.ndarray:
     """|psi> = U(params)|0...0>, gates applied in template order."""
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 1 or params.shape[0] != template.num_params:
-        raise ValueError(
-            f"expected {template.num_params} parameters, got shape {params.shape}"
-        )
-    return run_circuit_batch(template, params[None, :])[0]
+    return run_circuit_batch(template, np.asarray(params, dtype=float)[None, ...])[0]
 
 
 def vacuum_projector_expectation(state: np.ndarray) -> np.ndarray | float:

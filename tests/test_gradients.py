@@ -283,6 +283,19 @@ class TestVarianceScan:
         v = analytical_gradient_variance(template, local_cost_observable(4), 50, SeededRng(7))
         assert v > 0.0
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_exact_column_is_the_analytical_variance(self, seed):
+        template = build_rpqc(4, 3, structure_seed=5)
+        config = VarianceScanConfig(
+            num_inits=12,
+            sigma_values=(0.4, 0.1), walker_counts=(1, 3),
+            observable=local_cost_observable(4),
+        )
+        rows = surrogate_gradient_variance_scan(template, config, SeededRng(seed))
+        exact = analytical_gradient_variance(template, config.observable, config.num_inits,
+                                             SeededRng(seed))
+        assert {row.variance_exact for row in rows} == {exact}
+
     @pytest.mark.parametrize("estimator", ["single", "symmetric"])
     def test_scan_matches_full_gradient_recomputation(self, monkeypatch, estimator):
         template = build_rpqc(4, 3, structure_seed=5)

@@ -55,6 +55,11 @@ class TestParsePauliFile:
         with pytest.raises(ValueError, match="qubits"):
             parse_pauli_file("1.0 Z0\n")
 
+    @pytest.mark.parametrize("coeff", ["inf", "-inf", "nan"])
+    def test_non_finite_coefficient_reports_line(self, coeff):
+        with pytest.raises(ValueError, match="line 2: coefficients must be finite"):
+            parse_pauli_file(f"qubits 2\n{coeff} Z0 Z1\n")
+
     def test_bare_coefficient_rejected(self):
         with pytest.raises(ValueError, match="no Pauli factors"):
             parse_pauli_file("qubits 1\n1.0\n")

@@ -61,7 +61,7 @@ class TestConfigParsing:
         assert config.experiment == "stateprep"
         assert config.seeds == (0, 1)
         assert config.nes.population == 6
-        assert config.ansatz.family == "rpqc"
+        assert config.template.family == "rpqc"
 
     def test_option_objects_built_at_load(self, tmp_path):
         text = (
@@ -186,7 +186,25 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("preset", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
     def test_every_preset_loads(self, preset):
-        assert load_config(preset).seeds
+        config = load_config(preset)
+        assert config.seeds
+        echo = config.echo
+        spec = AnsatzSpec(echo["ansatz.family"], int(echo["ansatz.qubits"]),
+                          int(echo["ansatz.layers"]), int(echo.get("ansatz.structure_seed", 0)))
+        assert config.template == spec.build()
+
+    def test_run_builds_the_template_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = AnsatzSpec.build
+
+        def counting_build(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(AnsatzSpec, "build", counting_build)
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out=tmp_path / "o"))
+        assert main(["run", str(path), "--override", "experiment.max_iterations=2"]) == 0
+        assert len(calls) == 1
 
 
 class TestRunExperiment:
@@ -516,7 +534,7 @@ class TestCli:
         for family, size in (("rpqc", "6"), ("alpqc", "8")):
             config = load_config(path, overrides={"experiment.kind": "batch",
                                                   "ansatz.family": family, "batch.size": size})
-            assert config.partition.batch_size == config.ansatz.build().num_params
+            assert config.partition.batch_size == config.template.num_params
 
     def test_preset_batch_size_above_parameter_count(self, tmp_path, capsys):
         preset = CONFIGS / "batch_q10_l50_snes.ini"

@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 import qnes
+from qnes.ansatz import AnsatzSpec
 from qnes.nes import FullDistribution, NesConfig
 
 MODULES = ["qnes"] + sorted(f"qnes.{m.name}" for m in pkgutil.iter_modules(qnes.__path__))
@@ -15,7 +16,7 @@ REMOVED = {
     "qnes.simulator": ["apply_gate", "stateprep_fitness", "stateprep_fitness_batch",
                        "apply_pauli_string"],
     "qnes.ansatz": ["template_from_text", "FAMILIES", "template_from_gates"],
-    "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse"],
+    "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse", "_rank_order"],
     "qnes.numerics": ["scale_from_factor"],
     "qnes.hamiltonian": ["vqe_fitness", "vqe_fitness_batch", "dense_matrix", "MAX_DENSE_QUBITS"],
     "qnes.gradients": ["energy_loss_gradient"],
@@ -36,3 +37,4 @@ def test_removed_names_stay_removed():
             assert not hasattr(qnes, attr), attr
     assert "natural_gradient" not in {f.name for f in fields(NesConfig)}
     assert not hasattr(FullDistribution, "from_factor")
+    assert not hasattr(AnsatzSpec, "num_params")
