@@ -1,9 +1,9 @@
 """Natural evolution strategies for parameterized quantum circuits.
 
-Library + CLI for optimizing randomly initialized circuits with canonical,
-separable, and full-covariance evolution strategies on an exact statevector
-simulator; includes parameter-shift gradients, a gradient-descent baseline,
-batch optimization for deep circuits, and experiment presets.
+Library + CLI for optimizing randomly initialized circuits with the separable
+and exponential (full-covariance) natural evolution strategies on an exact
+statevector simulator; includes parameter-shift gradients, a gradient-descent
+baseline, batch optimization for deep circuits, and experiment presets.
 """
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ from .gradients import (
 from .hamiltonian import exact_ground_energy, load_pauli_file, parse_pauli_file
 from .nes import (
     FullDistribution,
-    IsotropicDistribution,
     NesConfig,
     SeparableDistribution,
     compute_utilities,

@@ -110,8 +110,6 @@ def batch_optimize(
     With a single batch covering every parameter this reduces exactly to the
     plain optimizer (same draws, same arithmetic, same trace).
     """
-    if variant not in ("snes", "xnes"):
-        raise ValueError(f"batch optimization supports snes or xnes, got {variant!r}")
     mu = np.array(initial_mu, dtype=float)
     if mu.ndim != 1 or mu.size != schedule.num_params:
         raise ValueError("initial_mu length must match the schedule's parameter count")

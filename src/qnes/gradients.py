@@ -147,7 +147,6 @@ class VarianceScanConfig:
     sigma_values: tuple[float, ...]
     walker_counts: tuple[int, ...]
     observable: PauliSum
-    estimator: str = "single"  # or "symmetric" (antithetic +/- perturbation pairs)
 
     def __post_init__(self):
         if self.num_inits < 2:
@@ -158,8 +157,6 @@ class VarianceScanConfig:
         if not self.walker_counts or min(self.walker_counts) < 1:
             raise ValueError(f"walker_counts must be one or more counts >= 1, "
                              f"got {self.walker_counts}")
-        if self.estimator not in ("single", "symmetric"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def surrogate_gradient_variance_scan(template, config: VarianceScanConfig,
     initializations: 2 shifted rows each (not 2P: only component 0 is reported).
     Parameters are drawn uniformly in [0, 2*pi), one uncached child stream per
     initialization, which replays the same point for both columns. Each cell
-    runs k rows per initialization, or 2k for the symmetric estimator.
+    runs k rows per initialization.
     """
     p = template.num_params
     combos = [(s, k) for s in config.sigma_values for k in config.walker_counts]
@@ -197,12 +194,7 @@ def surrogate_gradient_variance_scan(template, config: VarianceScanConfig,
         for sigma, k in combos:
             samples = np.stack([stream.normal(p) for _ in range(k)])
             forward = expectation_values(template, theta + sigma * samples, config.observable)
-            if config.estimator == "single":
-                estimate = (forward @ samples[:, 0]) / (k * sigma)
-            else:
-                backward = expectation_values(template, theta - sigma * samples, config.observable)
-                estimate = ((forward - backward) @ samples[:, 0]) / (2.0 * k * sigma)
-            surrogate[(sigma, k)][i] = estimate
+            surrogate[(sigma, k)][i] = (forward @ samples[:, 0]) / (k * sigma)
     return [
         VarianceScanRow(
             sigma_init=float(sigma),

@@ -73,7 +73,7 @@ def parse_pauli_file(text: str) -> PauliSum:
                     raise ValueError(f"line {lineno}: unknown Pauli factor {token!r}")
                 paulis.append((int(match.group(2)), match.group(1)))
         try:
-            terms += PauliSum(num_qubits, ((coeff, tuple(sorted(paulis))),)).terms
+            terms += PauliSum(num_qubits, ((coeff, paulis),)).terms
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if num_qubits is None:

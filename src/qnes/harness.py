@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .simulator import PauliSum
 from .trace import RunTrace
 
 EXPERIMENT_KINDS = ("stateprep", "vqe", "variance_scan", "batch", "hybrid", "compare_gd")
-OPTIMIZER_KINDS = ("canonical", "snes", "xnes", "gd")
+OPTIMIZER_KINDS = ("snes", "xnes", "gd")
 
 TRACE_SCHEMA = "iteration,evaluations,loss,spread_max,batch_cursor"
 SUMMARY_SCHEMA = "iteration,loss_mean,loss_min,loss_max"
@@ -170,18 +171,26 @@ def parse_config_text(text: str, base_dir: Path | None = None,
 
     experiment = require("experiment", "kind")
     if experiment not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {experiment!r}")
+        raise ConfigError(f"[experiment] kind must be one of {', '.join(EXPERIMENT_KINDS)}, "
+                          f"got {experiment!r}")
     seeds = require("experiment", "seeds", tokens(_at_least(0)))
 
     if not parser.has_section("ansatz"):
         raise ConfigError("missing [ansatz] section")
-    template = _build("ansatz", AnsatzSpec, require("ansatz", "family"),
-                      require("ansatz", "qubits", int), require("ansatz", "layers", int),
-                      get("ansatz", "structure_seed", "0", _at_least(0))).build()
+    spec = _build("ansatz", AnsatzSpec, require("ansatz", "family"),
+                  require("ansatz", "qubits", int), require("ansatz", "layers", int),
+                  get("ansatz", "structure_seed", "0", _at_least(0)))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if spec.num_qubits > math.log2(memory / 16):
+        raise ConfigError(f"[ansatz] qubits = {spec.num_qubits}: one state of 16 * 2**"
+                          f"{spec.num_qubits} bytes exceeds the {memory / 2**30:.1f} GiB of "
+                          "physical memory")
+    template = spec.build()
 
     optimizer = get("optimizer", "kind", "snes")
     if optimizer not in OPTIMIZER_KINDS:
-        raise ConfigError(f"unknown optimizer kind {optimizer!r}")
+        raise ConfigError(f"[optimizer] kind must be one of {', '.join(OPTIMIZER_KINDS)}, "
+                          f"got {optimizer!r}")
     max_iterations = get("experiment", "max_iterations", "500", _at_least(0))
     learning_rate = get("gradient_descent", "learning_rate", cast=_positive)
     gd_iterations = get("gradient_descent", "max_iterations", cast=_at_least(0))
@@ -195,7 +204,7 @@ def parse_config_text(text: str, base_dir: Path | None = None,
         optimizer=optimizer,
         sigma_init=get("optimizer", "sigma_init", "0.1", _positive),
         workers=get("optimizer", "workers", "0", _at_least(0)),
-        nes=NesConfig(population=get("optimizer", "walkers", "16", _at_least(1)),
+        nes=NesConfig(population=get("optimizer", "walkers", "16", _at_least(2)),
                       max_iterations=max_iterations,
                       stop_threshold=get("optimizer", "stop_threshold", "1e-8",
                                          _at_least(0.0, float))),
@@ -235,8 +244,6 @@ def _validate(config: ExperimentConfig) -> None:
     if config.experiment == "variance_scan" and len(seeds) != 1:
         raise ConfigError(f"[experiment] seeds (or --seed) must be one seed for variance_scan, "
                           f"got {seeds}")
-    if config.optimizer in ("snes", "xnes") and config.nes.population < 2:
-        raise ConfigError("[optimizer] walkers must be >= 2 for snes and xnes")
     needs_gd = config.experiment in ("compare_gd", "hybrid") or config.optimizer == "gd"
     if needs_gd and config.gd is None:
         raise ConfigError("[gradient_descent] learning_rate is required for this experiment")
@@ -255,12 +262,10 @@ def _validate(config: ExperimentConfig) -> None:
             config.partition.check(config.template.num_params)
         except ValueError as exc:
             raise ConfigError(f"[batch] {exc}".replace("batch_size", "size", 1)) from exc
-        if config.optimizer not in ("snes", "xnes"):
-            raise ConfigError("[optimizer] kind must be snes or xnes for the batch experiment")
+    if config.experiment in ("batch", "compare_gd") and config.optimizer == "gd":
+        raise ConfigError(f"[optimizer] kind must be snes or xnes for {config.experiment}")
     if config.experiment == "hybrid" and config.optimizer != "snes":
         raise ConfigError("[optimizer] kind must be snes for hybrid (its warm-up is separable)")
-    if config.experiment == "compare_gd" and config.optimizer == "gd":
-        raise ConfigError("[optimizer] kind must be canonical, snes or xnes for compare_gd")
     if config.experiment == "variance_scan" and config.template.family != "rpqc":
         raise ConfigError("[ansatz] family must be rpqc for variance_scan, "
                           "which scans the random circuit")

@@ -1,12 +1,13 @@
 """Evolution-strategy optimizers over Gaussian search distributions.
 
-Three variants, all minimizing a black-box fitness:
+The paper's two variants (Wierstra et al., arXiv:1106.4487), both minimizing a
+black-box fitness with rank-based utilities and the dimension-dependent
+learning rates of `default_learning_rates`:
 
-- canonical: fixed isotropic width, plain search-gradient step on the mean;
-- separable: per-coordinate standard deviations, rank-based utilities,
-  multiplicative exponential sigma updates;
-- full: global scale sigma plus a unit-determinant shape matrix B updated in
-  exponential coordinates; the covariance factor is sigma * B.
+- separable (sNES): per-coordinate standard deviations, multiplicative
+  exponential sigma updates;
+- full (xNES): global scale sigma plus a unit-determinant shape matrix B updated
+  in exponential coordinates; the covariance factor is sigma * B.
 
 The fitness maps a (k, d) matrix of walker rows to k values, and is called once
 per generation, or once per row chunk on the run's thread pool; per-walker child
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .numerics import SeededRng, matrix_exponential_symmetric
 from .trace import RunTrace
 
 __all__ = [
-    "IsotropicDistribution",
     "SeparableDistribution",
     "FullDistribution",
     "NesConfig",
@@ -35,39 +35,10 @@ __all__ = [
     "compute_utilities",
     "default_learning_rates",
     "sample_walkers",
-    "canonical_gradient_estimate",
-    "canonical_step",
     "snes_step",
     "xnes_step",
     "optimize",
 ]
-
-
-@dataclass
-class IsotropicDistribution:
-    """Mean plus one fixed isotropic width (the canonical strategy; no adaptation)."""
-
-    mu: np.ndarray
-    sigma: float
-    min_population = 1
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if not np.all(np.isfinite(self.mu)):
-            raise ValueError("mu must be finite")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-
-    def to_task(self, samples: np.ndarray) -> np.ndarray:
-        """Map local-coordinate samples (k, d) to task coordinates."""
-        return self.mu + self.sigma * samples
-
-    def spread(self) -> float:
-        """Stopping statistic: the fixed width."""
-        return float(self.sigma)
-
-    def step(self, batch: "WalkerBatch", config: "NesConfig") -> "IsotropicDistribution":
-        return canonical_step(self, batch, config)
 
 
 @dataclass
@@ -76,7 +47,6 @@ class SeparableDistribution:
 
     mu: np.ndarray
     sigma: np.ndarray
-    min_population = 2  # rank-based fitness shaping
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -107,7 +77,6 @@ class FullDistribution:
     mu: np.ndarray
     sigma: float
     shape: np.ndarray
-    min_population = 2  # rank-based fitness shaping
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -142,47 +111,31 @@ class FullDistribution:
 
 
 def initial_distribution(kind: str, mu: np.ndarray, sigma_init: float):
-    """The starting distribution of a strategy kind: canonical, snes or xnes, width sigma_init."""
+    """The starting distribution of a strategy kind, snes or xnes, of width sigma_init."""
     if kind == "snes":
         return SeparableDistribution(mu=mu, sigma=np.full(np.size(mu), float(sigma_init)))
     if kind == "xnes":
         return FullDistribution.isotropic(mu, sigma_init)
-    if kind == "canonical":
-        return IsotropicDistribution(mu=mu, sigma=sigma_init)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    raise ValueError(f"strategy kind must be snes or xnes, got {kind!r}")
 
 
 @dataclass
 class NesConfig:
-    """Walker count, learning rates, and stopping controls.
+    """Walker count and stopping controls.
 
-    Learning rates left as None are filled from the dimension-dependent defaults
-    at step time (for batch optimization that dimension is the batch size).
+    The learning rates are not options: every step takes `default_learning_rates`
+    of its distribution's dimension (for batch optimization, the batch size).
     """
 
     population: int
     max_iterations: int = 1000
     stop_threshold: float = 1e-8
-    eta_mu: float | None = None
-    eta_sigma: float | None = None      # separable sigma rate
-    eta_scale: float | None = None      # full-variant sigma rate
-    eta_shape: float | None = None      # full-variant B rate
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
+        if self.population < 2:
+            raise ValueError("population must be >= 2 for fitness shaping")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-
-    def resolved(self, d: int) -> "NesConfig":
-        eta_mu, eta_scale_or_shape, eta_sigma = default_learning_rates(d)
-        return replace(
-            self,
-            eta_mu=self.eta_mu if self.eta_mu is not None else eta_mu,
-            eta_sigma=self.eta_sigma if self.eta_sigma is not None else eta_sigma,
-            eta_scale=self.eta_scale if self.eta_scale is not None else eta_scale_or_shape,
-            eta_shape=self.eta_shape if self.eta_shape is not None else eta_scale_or_shape,
-        )
 
 
 @dataclass
@@ -224,16 +177,6 @@ def sample_walkers(dist, k: int, rng: SeededRng) -> WalkerBatch:
     return WalkerBatch(samples=samples, points=dist.to_task(samples))
 
 
-def canonical_gradient_estimate(batch: WalkerBatch, sigma_init: float) -> np.ndarray:
-    """Search-gradient estimate (1 / (k * sigma)) * sum_n f(z_n) s_n."""
-    if not sigma_init > 0:
-        raise ValueError("sigma_init must be positive")
-    if batch.fitnesses is None:
-        raise ValueError("walker fitnesses are not filled")
-    fits = np.asarray(batch.fitnesses, dtype=float)
-    return (fits @ batch.samples) / (fits.size * sigma_init)
-
-
 def _ranked(batch: WalkerBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(utilities, samples best first, utilities @ samples) of a filled batch."""
     if batch.fitnesses is None:
@@ -247,22 +190,14 @@ def _ranked(batch: WalkerBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return utilities, s_sorted, utilities @ s_sorted
 
 
-def canonical_step(dist: IsotropicDistribution, batch: WalkerBatch,
-                   config: NesConfig) -> IsotropicDistribution:
-    """Descend the estimated search gradient; the width stays fixed."""
-    cfg = config.resolved(dist.mu.size)
-    grad = canonical_gradient_estimate(batch, dist.sigma)
-    return IsotropicDistribution(mu=dist.mu - cfg.eta_mu * grad, sigma=dist.sigma)
-
-
 def snes_step(dist: SeparableDistribution, batch: WalkerBatch,
               config: NesConfig) -> SeparableDistribution:
     """One separable update: utility-weighted mean step, exponential sigma step."""
     utilities, s_sorted, grad_mu = _ranked(batch)
     grad_sigma = utilities @ (s_sorted**2 - 1.0)
-    cfg = config.resolved(dist.mu.size)
-    mu = dist.mu + cfg.eta_mu * dist.sigma * grad_mu
-    sigma = dist.sigma * np.exp(0.5 * cfg.eta_sigma * grad_sigma)
+    eta_mu, _, eta_sigma = default_learning_rates(dist.mu.size)
+    mu = dist.mu + eta_mu * dist.sigma * grad_mu
+    sigma = dist.sigma * np.exp(0.5 * eta_sigma * grad_sigma)
     return SeparableDistribution(mu=mu, sigma=sigma)
 
 
@@ -274,10 +209,10 @@ def xnes_step(dist: FullDistribution, batch: WalkerBatch, config: NesConfig) -> 
     grad_m = np.einsum("n,ni,nj->ij", utilities, s_sorted, s_sorted) - utilities.sum() * eye
     grad_scale = np.trace(grad_m) / d
     grad_shape = grad_m - grad_scale * eye
-    cfg = config.resolved(d)
-    mu = dist.mu + cfg.eta_mu * dist.sigma * (dist.shape @ grad_mu)
-    sigma = dist.sigma * math.exp(0.5 * cfg.eta_scale * grad_scale)
-    shape = dist.shape @ matrix_exponential_symmetric(0.5 * cfg.eta_shape * grad_shape)
+    eta_mu, eta_scale_or_shape, _ = default_learning_rates(d)
+    mu = dist.mu + eta_mu * dist.sigma * (dist.shape @ grad_mu)
+    sigma = dist.sigma * math.exp(0.5 * eta_scale_or_shape * grad_scale)
+    shape = dist.shape @ matrix_exponential_symmetric(0.5 * eta_scale_or_shape * grad_shape)
     # grad_shape is traceless so |det shape| = 1 in exact arithmetic; refactor the
     # float drift into sigma to keep the covariance factor sigma*shape unchanged
     drift = abs(np.linalg.det(shape)) ** (1.0 / d)
@@ -328,9 +263,6 @@ def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: Se
     place). The spread statistic is the largest spread over all blocks.
     """
     dists = [dist for _, dist in blocks]
-    needed = max(dist.min_population for dist in dists)
-    if config.population < needed:
-        raise ValueError(f"population must be >= {needed} for fitness shaping")
     spreads = [dist.spread() for dist in dists]
     if trace is None:
         trace = RunTrace()

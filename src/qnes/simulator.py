@@ -64,14 +64,17 @@ class PauliSum:
     """Weighted sum of Pauli strings on `num_qubits` qubits.
 
     Each term is (coefficient, ((qubit, letter), ...)) with letters in {X, Y, Z},
-    qubits sorted and unique within a term; identity factors are omitted, so the
-    identity term has an empty tuple.
+    qubits unique within a term; identity factors are omitted, so the identity
+    term has an empty tuple. Each term's factors are stored sorted by qubit, so
+    sums that differ only in factor order are equal.
     """
 
     num_qubits: int
     terms: tuple[tuple[float, tuple[tuple[int, str], ...]], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple((coeff, tuple(sorted(paulis)))
+                                                for coeff, paulis in self.terms))
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         for coeff, paulis in self.terms:
@@ -90,11 +93,9 @@ class PauliSum:
 
     @classmethod
     def build(cls, num_qubits: int, terms) -> "PauliSum":
-        """Build from (coefficient, {qubit: letter}) pairs; normalizes term ordering."""
-        norm = tuple(
-            (float(c), tuple(sorted((int(q), str(p).upper()) for q, p in dict(m).items())))
-            for c, m in terms
-        )
+        """Build from (coefficient, {qubit: letter}) pairs."""
+        norm = tuple((float(c), tuple((int(q), str(p).upper()) for q, p in dict(m).items()))
+                     for c, m in terms)
         return cls(num_qubits, norm)
 
 

@@ -244,16 +244,6 @@ class TestVarianceScan:
         assert by_cell[(np.pi / 32, 1)] > by_cell[(np.pi / 8, 1)]
         assert by_cell[(np.pi / 32, 1)] > by_cell[(np.pi / 32, 8)]
 
-    def test_symmetric_estimator_available(self):
-        template = build_rpqc(3, 2, structure_seed=3)
-        config = VarianceScanConfig(
-            num_inits=10,
-            sigma_values=(0.3,), walker_counts=(2,),
-            observable=local_cost_observable(3), estimator="symmetric",
-        )
-        rows = surrogate_gradient_variance_scan(template, config, SeededRng(2))
-        assert np.isfinite(rows[0].variance_surrogate)
-
     def test_num_inits_floor(self):
         with pytest.raises(ValueError, match="num_inits"):
             VarianceScanConfig(
@@ -296,13 +286,12 @@ class TestVarianceScan:
                                              SeededRng(seed))
         assert {row.variance_exact for row in rows} == {exact}
 
-    @pytest.mark.parametrize("estimator", ["single", "symmetric"])
-    def test_scan_matches_full_gradient_recomputation(self, monkeypatch, estimator):
+    def test_scan_matches_full_gradient_recomputation(self, monkeypatch):
         template = build_rpqc(4, 3, structure_seed=5)
         config = VarianceScanConfig(
             num_inits=12,
             sigma_values=(0.4, 0.1), walker_counts=(1, 3),
-            observable=local_cost_observable(4), estimator=estimator,
+            observable=local_cost_observable(4),
         )
         rows = surrogate_gradient_variance_scan(template, config, SeededRng(3))
         full_gradient_components(monkeypatch)

@@ -88,6 +88,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="experiment"):
             parse_config_text(text, base_dir=tmp_path)
 
+    def test_state_must_fit_in_physical_memory(self, tmp_path, monkeypatch):
+        # 1 MiB of memory holds one 16-qubit state (16 * 2**16 bytes); nothing is allocated
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr("qnes.harness.os.sysconf", pages.__getitem__)
+        text = STATEPREP_CONFIG.format(out="runs/x")
+        config = parse_config_text(text, tmp_path, {"ansatz.qubits": "16"})
+        assert config.template.num_qubits == 16
+        with pytest.raises(ConfigError, match=r"\[ansatz\] qubits = 17"):
+            parse_config_text(text, tmp_path, {"ansatz.qubits": "17"})
+
     def test_empty_seeds_rejected(self, tmp_path):
         text = STATEPREP_CONFIG.format(out="runs/x").replace("seeds = 0 1", "seeds =")
         with pytest.raises(ConfigError):
@@ -482,6 +492,12 @@ class TestCli:
         (["--override", "experiment.kind=variance_scan", "--seed", "3", "--seed", "4",
           "--override", "variance_scan.num_inits=2"], "[experiment] seeds"),
         (["--override", "experiment.out="], "[experiment] out"),
+        (["--override", "optimizer.kind=canonical"], "[optimizer] kind"),
+        (["--override", "optimizer.kind=bogus"], "[optimizer] kind"),
+        (["--override", "experiment.kind=bogus"], "[experiment] kind"),
+        (["--override", "optimizer.kind=gd", "--override", "optimizer.walkers=1",
+          "--override", "gradient_descent.learning_rate=0.1"], "[optimizer] walkers"),
+        (["--override", "ansatz.qubits=40"], "[ansatz] qubits"),
     ], ids=["random-no-size", "layer-block-no-size", "qubit-block-size-0", "config-seed",
             "cli-seed", "rpqc-1-qubit", "alpqc-2-qubits", "0-layers", "hybrid-xnes",
             "compare-gd-gd", "rpqc-size-above-params", "alpqc-size-above-params",
@@ -493,7 +509,9 @@ class TestCli:
             "structure-seed-negative",
             "workers-negative",
             "snapshot-interval-negative", "config-seeds-repeated", "cli-seeds-repeated",
-            "scan-two-config-seeds", "scan-two-cli-seeds", "out-empty"])
+            "scan-two-config-seeds", "scan-two-cli-seeds", "out-empty", "canonical",
+            "optimizer-kind-unknown", "experiment-kind-unknown", "gd-one-walker",
+            "state-beyond-memory"])
     def test_rejected_at_load_before_output(self, tmp_path, capsys, args, key):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         # the config's circuit has 3 qubits

@@ -507,3 +507,10 @@ class TestGateValidation:
             PauliSum(2, ((1.0, ((2, "Z"),)),))
         with pytest.raises(ValueError, match="Pauli letter"):
             PauliSum(2, ((1.0, ((0, "Q"),)),))
+
+    def test_pauli_sum_sorts_each_term(self):
+        unsorted = PauliSum(2, ((1.0, ((1, "Z"), (0, "X"))),))
+        ordered = PauliSum(2, ((1.0, ((0, "X"), (1, "Z"))),))
+        assert unsorted == ordered
+        assert unsorted.terms == ordered.terms
+        assert simulator._terms(unsorted, 2) is simulator._terms(ordered, 2)
