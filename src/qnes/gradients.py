@@ -157,6 +157,11 @@ class VarianceScanConfig:
         if not self.walker_counts or min(self.walker_counts) < 1:
             raise ValueError(f"walker_counts must be one or more counts >= 1, "
                              f"got {self.walker_counts}")
+        # the scan keys its estimates by (sigma, k): a repeated entry would overwrite a cell
+        for name in ("sigma_values", "walker_counts"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {values}")
 
 
 @dataclass(frozen=True)
@@ -232,14 +237,12 @@ def hybrid_optimize(
     gd_config: GdConfig,
     rng: SeededRng,
     sigma_init: float = 0.1,
-    snapshot_interval: int | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Separable-strategy warm-up from mu, then plain gradient descent from the reached center.
 
     `loss` and `grad_fn` are as returned by `loss_functions`. Analytical-gradient
-    snapshots are recorded at iteration 0 and after the warm-up (plus every
-    snapshot_interval warm-up iterations when set); they are the data behind
-    violin-style gradient-spread plots.
+    snapshots are recorded at iteration 0 and, when the warm-up ran at least one
+    iteration, at its end; they are the data behind violin-style gradient-spread plots.
     """
     if warmup_iterations < 0:
         raise ValueError("warmup_iterations must be >= 0")
@@ -248,17 +251,10 @@ def hybrid_optimize(
     trace.gradient_snapshots.append(GradientSnapshot(0, grad_fn(mu)))
 
     if warmup_iterations > 0:
-        def maybe_snapshot(iteration, dist):
-            if snapshot_interval and iteration % snapshot_interval == 0:
-                trace.gradient_snapshots.append(GradientSnapshot(iteration, grad_fn(dist.mu)))
-
         warm_cfg = replace(nes_config, max_iterations=warmup_iterations)
         dist = initial_distribution("snes", mu, sigma_init)
-        mu, trace = optimize(loss, dist, warm_cfg, rng, trace=trace, callback=maybe_snapshot)
-        last = trace.gradient_snapshots[-1]
-        if last.iteration != trace.iterations[-1]:
-            trace.gradient_snapshots.append(
-                GradientSnapshot(trace.iterations[-1], grad_fn(mu))
-            )
+        mu, trace = optimize(loss, dist, warm_cfg, rng, trace=trace)
+        if trace.iterations[-1] > 0:
+            trace.gradient_snapshots.append(GradientSnapshot(trace.iterations[-1], grad_fn(mu)))
 
     return gradient_descent(loss, grad_fn, mu, gd_config, trace)

@@ -73,7 +73,6 @@ class ExperimentConfig:
     partition: PartitionStrategy
     scan: VarianceScanConfig
     hybrid_warmup: int
-    hybrid_snapshot_interval: int
     hamiltonian: PauliSum | None
     echo: dict
 
@@ -221,7 +220,6 @@ def parse_config_text(text: str, base_dir: Path | None = None,
                                       tokens(_at_least(1))),
                     observable=local_cost_observable(template.num_qubits)),
         hybrid_warmup=get("hybrid", "warmup", "5", _at_least(0)),
-        hybrid_snapshot_interval=get("hybrid", "snapshot_interval", "0", _at_least(0)),
         hamiltonian=None if ham is None else _hamiltonian(ham, base_dir),
         echo={f"{section}.{key}": value
               for section in parser.sections() for key, value in parser.items(section)},
@@ -322,12 +320,11 @@ def write_snapshot_csv(path: Path, trace: RunTrace, config: ExperimentConfig, se
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    rows = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("iteration"):
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
+    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    body = [line for line in lines if line and not line.startswith("#")]
+    if not body or body[0] != TRACE_SCHEMA:
+        raise ValueError(f"{path} is not a trace CSV")
+    rows = [[float(tok) for tok in line.split(",")] for line in body[1:]]
     if not rows:
         raise ValueError(f"trace {path} has no data rows")
     data = np.asarray(rows)
@@ -406,11 +403,8 @@ def _run_nes(config: ExperimentConfig, loss, seed: int) -> RunTrace:
 
 def _run_hybrid(config: ExperimentConfig, loss, grad_fn, seed: int) -> RunTrace:
     rng, mu0 = _start(config, seed)
-    _, trace = hybrid_optimize(
-        loss, grad_fn, mu0, config.hybrid_warmup, config.nes, config.gd,
-        rng, sigma_init=config.sigma_init,
-        snapshot_interval=config.hybrid_snapshot_interval or None,
-    )
+    _, trace = hybrid_optimize(loss, grad_fn, mu0, config.hybrid_warmup, config.nes, config.gd,
+                               rng, sigma_init=config.sigma_init)
     write_snapshot_csv(config.out_dir / f"trace_seed{seed}_gradients.csv", trace, config, seed)
     return trace
 

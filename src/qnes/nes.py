@@ -9,6 +9,8 @@ learning rates of `default_learning_rates`:
 - full (xNES): global scale sigma plus a unit-determinant shape matrix B updated
   in exponential coordinates; the covariance factor is sigma * B.
 
+A step is a function of what it reads: `dist.step(samples, fitnesses)` maps one
+generation's (k, d) local samples and their k fitnesses to the next distribution.
 The fitness maps a (k, d) matrix of walker rows to k values, and is called once
 per generation, or once per row chunk on the run's thread pool; per-walker child
 random streams keep sampling independent of the execution schedule.
@@ -30,7 +32,6 @@ __all__ = [
     "SeparableDistribution",
     "FullDistribution",
     "NesConfig",
-    "WalkerBatch",
     "initial_distribution",
     "compute_utilities",
     "default_learning_rates",
@@ -66,8 +67,8 @@ class SeparableDistribution:
         """Stopping statistic: the largest sigma component."""
         return float(np.max(self.sigma))
 
-    def step(self, batch: "WalkerBatch", config: "NesConfig") -> "SeparableDistribution":
-        return snes_step(self, batch, config)
+    def step(self, samples: np.ndarray, fitnesses: np.ndarray) -> "SeparableDistribution":
+        return snes_step(self, samples, fitnesses)
 
 
 @dataclass
@@ -106,8 +107,8 @@ class FullDistribution:
         cov = self.sigma**2 * (self.shape @ self.shape.T)
         return float(np.max(np.abs(cov)))
 
-    def step(self, batch: "WalkerBatch", config: "NesConfig") -> "FullDistribution":
-        return xnes_step(self, batch, config)
+    def step(self, samples: np.ndarray, fitnesses: np.ndarray) -> "FullDistribution":
+        return xnes_step(self, samples, fitnesses)
 
 
 def initial_distribution(kind: str, mu: np.ndarray, sigma_init: float):
@@ -138,15 +139,6 @@ class NesConfig:
             raise ValueError("max_iterations must be >= 0")
 
 
-@dataclass
-class WalkerBatch:
-    """One generation: local samples s_n, task points z_n, and their fitnesses."""
-
-    samples: np.ndarray
-    points: np.ndarray
-    fitnesses: np.ndarray | None = None
-
-
 def compute_utilities(k: int) -> np.ndarray:
     """Rank-based utility weights, best rank first; they sum to zero.
 
@@ -168,32 +160,29 @@ def default_learning_rates(d: int) -> tuple[float, float, float]:
     return 1.0, (9.0 + 3.0 * math.log(d)) / denom, (3.0 + math.log(d)) / denom
 
 
-def sample_walkers(dist, k: int, rng: SeededRng) -> WalkerBatch:
-    """Draw k walkers, one independent child stream per walker index."""
+def sample_walkers(dist, k: int, rng: SeededRng) -> np.ndarray:
+    """k local samples (k, d), one independent child stream per walker index."""
     if k < 1:
         raise ValueError("population must be >= 1")
     d = dist.mu.size
-    samples = np.stack([rng.stream(n).normal(d) for n in range(k)])
-    return WalkerBatch(samples=samples, points=dist.to_task(samples))
+    return np.stack([rng.stream(n).normal(d) for n in range(k)])
 
 
-def _ranked(batch: WalkerBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(utilities, samples best first, utilities @ samples) of a filled batch."""
-    if batch.fitnesses is None:
-        raise ValueError("walker fitnesses are not filled")
-    fits = np.asarray(batch.fitnesses, dtype=float)
+def _ranked(samples, fitnesses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(utilities, samples best first, utilities @ samples)."""
+    fits = np.asarray(fitnesses, dtype=float)
     if not np.all(np.isfinite(fits)):
         raise ValueError("walker fitness values must be finite")
     # ascending fitness = best first (minimization); stable sort breaks ties by walker index
     utilities = compute_utilities(fits.size)
-    s_sorted = batch.samples[np.argsort(fits, kind="stable")]
+    s_sorted = samples[np.argsort(fits, kind="stable")]
     return utilities, s_sorted, utilities @ s_sorted
 
 
-def snes_step(dist: SeparableDistribution, batch: WalkerBatch,
-              config: NesConfig) -> SeparableDistribution:
+def snes_step(dist: SeparableDistribution, samples: np.ndarray,
+              fitnesses: np.ndarray) -> SeparableDistribution:
     """One separable update: utility-weighted mean step, exponential sigma step."""
-    utilities, s_sorted, grad_mu = _ranked(batch)
+    utilities, s_sorted, grad_mu = _ranked(samples, fitnesses)
     grad_sigma = utilities @ (s_sorted**2 - 1.0)
     eta_mu, _, eta_sigma = default_learning_rates(dist.mu.size)
     mu = dist.mu + eta_mu * dist.sigma * grad_mu
@@ -201,9 +190,10 @@ def snes_step(dist: SeparableDistribution, batch: WalkerBatch,
     return SeparableDistribution(mu=mu, sigma=sigma)
 
 
-def xnes_step(dist: FullDistribution, batch: WalkerBatch, config: NesConfig) -> FullDistribution:
+def xnes_step(dist: FullDistribution, samples: np.ndarray,
+              fitnesses: np.ndarray) -> FullDistribution:
     """One full-covariance update in exponential coordinates; |det B| stays 1."""
-    utilities, s_sorted, grad_mu = _ranked(batch)
+    utilities, s_sorted, grad_mu = _ranked(samples, fitnesses)
     d = dist.mu.size
     eye = np.eye(d)
     grad_m = np.einsum("n,ni,nj->ij", utilities, s_sorted, s_sorted) - utilities.sum() * eye
@@ -238,7 +228,6 @@ def optimize(
     rng: SeededRng,
     trace: RunTrace | None = None,
     n_workers: int = 0,
-    callback=None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Sample -> evaluate -> step until the spread threshold or max_iterations.
 
@@ -248,13 +237,12 @@ def optimize(
     evaluations grow by exactly k per iteration.
     """
     blocks = [(np.arange(dist.mu.size), dist)]
-    return _optimize_blocks(fitness, blocks, np.array(dist.mu), config, rng, trace,
-                            n_workers, callback)
+    return _optimize_blocks(fitness, blocks, np.array(dist.mu), config, rng, trace, n_workers)
 
 
 def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: SeededRng,
-                     trace: RunTrace | None = None, n_workers: int = 0,
-                     callback=None) -> tuple[np.ndarray, RunTrace]:
+                     trace: RunTrace | None = None,
+                     n_workers: int = 0) -> tuple[np.ndarray, RunTrace]:
     """The one strategy loop, over (indices, distribution) blocks of the vector mu.
 
     Blocks are disjoint and visited round-robin. Each iteration samples the
@@ -274,15 +262,13 @@ def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: Se
                 break
             active = (iteration - 1) % len(blocks)
             idx = blocks[active][0]
-            batch = sample_walkers(dists[active], config.population, rng)
+            samples = sample_walkers(dists[active], config.population, rng)
             points = np.repeat(mu[None, :], config.population, axis=0)
-            points[:, idx] = batch.points
-            batch.fitnesses = _walker_fitnesses(fitness, points, pool, n_workers)
-            dist = dists[active] = dists[active].step(batch, config)
+            points[:, idx] = dists[active].to_task(samples)
+            fitnesses = _walker_fitnesses(fitness, points, pool, n_workers)
+            dist = dists[active] = dists[active].step(samples, fitnesses)
             spreads[active] = dist.spread()
             mu[idx] = dist.mu
             evaluations += config.population
             trace.record(iteration, evaluations, fitness(mu[None, :])[0], max(spreads), active)
-            if callback is not None:
-                callback(iteration, dist)
     return mu, trace

@@ -132,19 +132,17 @@ def test_criterion_05_rank_invariance_bit_identical():
     with report(5, "monotone fitness transforms leave steps bit-identical"):
         rng = SeededRng(505)
         transforms = [lambda f: 3.0 * f + 1.0, lambda f: f**3, np.exp, np.arctan]
-        cfg = NesConfig(population=8)
         for trial in range(100):
             d = 2 + trial % 4
             sep = SeparableDistribution(rng.normal(d), np.full(d, 0.5))
             full = FullDistribution.isotropic(rng.normal(d), 0.5)
-            batch = sample_walkers(sep, 8, rng)
+            samples = sample_walkers(sep, 8, rng)
             fits = rng.normal(8)
             transform = transforms[trial % len(transforms)]
 
-            batch.fitnesses = fits
-            sep_a, full_a = snes_step(sep, batch, cfg), xnes_step(full, batch, cfg)
-            batch.fitnesses = transform(fits)
-            sep_b, full_b = snes_step(sep, batch, cfg), xnes_step(full, batch, cfg)
+            sep_a, full_a = snes_step(sep, samples, fits), xnes_step(full, samples, fits)
+            moved = transform(fits)
+            sep_b, full_b = snes_step(sep, samples, moved), xnes_step(full, samples, moved)
 
             assert np.array_equal(sep_a.mu, sep_b.mu)
             assert np.array_equal(sep_a.sigma, sep_b.sigma)
@@ -159,11 +157,10 @@ def test_criterion_06_full_covariance_structure_preserved():
         d = 8
         quad = np.diag(np.linspace(1.0, 4.0, d))
         dist = FullDistribution.isotropic(np.zeros(d), 0.5)
-        cfg = NesConfig(population=12)
         for _ in range(1000):
-            batch = sample_walkers(dist, 12, rng)
-            batch.fitnesses = np.einsum("ni,ij,nj->n", batch.points, quad, batch.points)
-            dist = xnes_step(dist, batch, cfg)
+            samples = sample_walkers(dist, 12, rng)
+            points = dist.to_task(samples)
+            dist = xnes_step(dist, samples, np.einsum("ni,ij,nj->n", points, quad, points))
             assert abs(abs(np.linalg.det(dist.shape)) - 1.0) < 1e-8
             assert dist.sigma > 0
 

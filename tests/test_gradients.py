@@ -388,13 +388,15 @@ class TestHybridOptimize:
         assert iterations == [0, 4]
         assert all(s.components.size == template.num_params for s in trace.gradient_snapshots)
 
-    def test_snapshot_interval(self):
+    def test_warmup_stopped_at_iteration_0_records_one_snapshot(self):
+        # sigma_init <= stop_threshold: the warm-up records its start row and stops
         template = build_rpqc(3, 2, structure_seed=2)
         _, trace = hybrid(
-            template, 6, NesConfig(population=8),
-            GdConfig(learning_rate=0.1, max_iterations=2), SeededRng(1), snapshot_interval=2,
+            template, 6, NesConfig(population=8, stop_threshold=0.1),
+            GdConfig(learning_rate=0.1, max_iterations=2), SeededRng(1), sigma_init=0.1,
         )
-        assert [s.iteration for s in trace.gradient_snapshots] == [0, 2, 4, 6]
+        assert [s.iteration for s in trace.gradient_snapshots] == [0]
+        assert trace.evaluations[:2] == [0, 2 * template.num_params + 1]
 
     def test_trace_is_continuous_across_phases(self):
         template = build_rpqc(3, 2, structure_seed=2)

@@ -484,7 +484,7 @@ class TestCli:
         (["--override", "optimizer.walkers=1"], "[optimizer] walkers"),
         (["--override", "ansatz.structure_seed=-1"], "[ansatz] structure_seed"),
         (["--override", "optimizer.workers=-4"], "[optimizer] workers"),
-        (HYBRID + ["--override", "hybrid.snapshot_interval=-2"], "[hybrid] snapshot_interval"),
+        (HYBRID + ["--override", "hybrid.snapshot_interval=2"], "[hybrid] snapshot_interval"),
         (["--override", "experiment.seeds=0 0"], "[experiment] seeds"),
         (["--seed", "1", "--seed", "1"], "[experiment] seeds"),
         (["--override", "experiment.kind=variance_scan", "--override", "experiment.seeds=3 4",
@@ -498,6 +498,10 @@ class TestCli:
         (["--override", "optimizer.kind=gd", "--override", "optimizer.walkers=1",
           "--override", "gradient_descent.learning_rate=0.1"], "[optimizer] walkers"),
         (["--override", "ansatz.qubits=40"], "[ansatz] qubits"),
+        (SCAN + ["--override", "variance_scan.walker_counts=2 2",
+                 "--override", "variance_scan.sigma_values=pi/8"], "[variance_scan] walker_counts"),
+        (SCAN + ["--override", "variance_scan.sigma_values=pi/8 0.39269908169872414"],
+         "[variance_scan] sigma_values"),
     ], ids=["random-no-size", "layer-block-no-size", "qubit-block-size-0", "config-seed",
             "cli-seed", "rpqc-1-qubit", "alpqc-2-qubits", "0-layers", "hybrid-xnes",
             "compare-gd-gd", "rpqc-size-above-params", "alpqc-size-above-params",
@@ -511,7 +515,7 @@ class TestCli:
             "snapshot-interval-negative", "config-seeds-repeated", "cli-seeds-repeated",
             "scan-two-config-seeds", "scan-two-cli-seeds", "out-empty", "canonical",
             "optimizer-kind-unknown", "experiment-kind-unknown", "gd-one-walker",
-            "state-beyond-memory"])
+            "state-beyond-memory", "scan-walker-count-repeated", "scan-sigma-repeated"])
     def test_rejected_at_load_before_output(self, tmp_path, capsys, args, key):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         # the config's circuit has 3 qubits
@@ -624,6 +628,17 @@ class TestCli:
         constant_trace_csv(a, [0.2, 0.2])
         constant_trace_csv(b, [0.2, 0.2], iterations=[0, 2])
         assert main(["summarize", str(a), str(b), "--out", str(tmp_path / "s.csv")]) == 3
+
+    def test_summarize_rejects_files_that_are_not_traces(self, tmp_path, capsys):
+        # CSVs a run writes beside its traces; trace_seed*.csv also matches the snapshot file
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
+        assert main(["run", str(path), *HYBRID, "--override", "experiment.seeds=0"]) == 0
+        for name in ("trace_seed0_gradients.csv", "summary.csv"):
+            other = tmp_path / "o" / name
+            assert main(["summarize", str(tmp_path / "o" / "trace_seed0.csv"), str(other),
+                         "--out", str(tmp_path / "s.csv")]) == 3
+            assert f"{other} is not a trace CSV" in capsys.readouterr().err
+            assert not (tmp_path / "s.csv").exists()
 
     def test_summarize_write_failure_exit_three(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -8,7 +8,6 @@ from qnes.nes import (
     FullDistribution,
     NesConfig,
     SeparableDistribution,
-    WalkerBatch,
     compute_utilities,
     default_learning_rates,
     initial_distribution,
@@ -92,15 +91,15 @@ class TestSampling:
         dist = SeparableDistribution(np.zeros(3), np.ones(3))
         a = sample_walkers(dist, 4, SeededRng(5))
         b = sample_walkers(dist, 4, SeededRng(5))
-        assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
+        assert np.array_equal(dist.to_task(a), dist.to_task(b))
 
     def test_walker_streams_advance_between_iterations(self):
         dist = SeparableDistribution(np.zeros(3), np.ones(3))
         rng = SeededRng(5)
         first = sample_walkers(dist, 4, rng)
         second = sample_walkers(dist, 4, rng)
-        assert not np.array_equal(first.samples, second.samples)
+        assert not np.array_equal(first, second)
 
     def test_invalid_population(self):
         dist = SeparableDistribution(np.zeros(2), np.ones(2))
@@ -114,41 +113,35 @@ class TestSnesStep:
         dist = SeparableDistribution(np.array([1.0]), np.array([0.5]))
         samples = np.array([[1.0], [-1.0]])
         points = dist.to_task(samples)
-        batch = WalkerBatch(samples, points, points[:, 0] ** 2)
-        new = snes_step(dist, batch, NesConfig(population=2))
+        new = snes_step(dist, samples, points[:, 0] ** 2)
         assert np.allclose(new.mu, [0.5])
         assert np.allclose(new.sigma, [0.5])  # grad_sigma = 0 since s**2 = 1
 
     def test_equal_fitness_tie_break_keeps_updates_bounded(self):
         dist = SeparableDistribution(np.zeros(2), np.ones(2))
         rng = SeededRng(1)
-        batch = sample_walkers(dist, 6, rng)
-        batch.fitnesses = np.full(6, 3.14)
-        new = snes_step(dist, batch, NesConfig(population=6))
+        samples = sample_walkers(dist, 6, rng)
+        new = snes_step(dist, samples, np.full(6, 3.14))
         assert np.all(np.isfinite(new.mu)) and np.all(new.sigma > 0)
 
     def test_unit_squared_samples_leave_sigma(self):
         dist = SeparableDistribution(np.zeros(2), np.array([0.3, 0.9]))
         samples = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        batch = WalkerBatch(samples, dist.to_task(samples), np.array([1.0, 2.0]))
-        new = snes_step(dist, batch, NesConfig(population=2))
+        new = snes_step(dist, samples, np.array([1.0, 2.0]))
         assert np.allclose(new.sigma, dist.sigma)
 
     def test_non_finite_fitness_rejected(self):
         dist = SeparableDistribution(np.zeros(2), np.ones(2))
-        batch = sample_walkers(dist, 4, SeededRng(0))
-        batch.fitnesses = np.array([1.0, np.nan, 0.0, 2.0])
+        samples = sample_walkers(dist, 4, SeededRng(0))
         with pytest.raises(ValueError, match="finite"):
-            snes_step(dist, batch, NesConfig(population=4))
+            snes_step(dist, samples, np.array([1.0, np.nan, 0.0, 2.0]))
 
     def test_sigma_positivity_over_many_steps(self):
         dist = SeparableDistribution(np.zeros(4), np.full(4, 0.3))
         rng = SeededRng(9)
-        cfg = NesConfig(population=8)
         for _ in range(500):
-            batch = sample_walkers(dist, 8, rng)
-            batch.fitnesses = sphere(batch.points)
-            dist = snes_step(dist, batch, cfg)
+            samples = sample_walkers(dist, 8, rng)
+            dist = snes_step(dist, samples, sphere(dist.to_task(samples)))
             assert np.all(dist.sigma > 0)
 
 
@@ -157,8 +150,7 @@ class TestXnesStep:
         # identical samples make grad_M = sum(u) * (ss^T - I) vanish with the utilities' sum
         dist = FullDistribution.isotropic(np.zeros(2), 0.5)
         samples = np.array([[1.0, 0.0], [1.0, 0.0]])
-        batch = WalkerBatch(samples, dist.to_task(samples), np.array([1.0, 2.0]))
-        new = xnes_step(dist, batch, NesConfig(population=2))
+        new = xnes_step(dist, samples, np.array([1.0, 2.0]))
         assert np.isclose(new.sigma, dist.sigma, rtol=1e-12)
         assert np.allclose(new.shape, dist.shape, atol=1e-12)
         assert np.isclose(abs(np.linalg.det(new.shape)), 1.0, atol=1e-10)
@@ -167,14 +159,13 @@ class TestXnesStep:
         # at d = 1 both steps take eta_mu = 1; the sigma rates are 1.8 (xnes) and 0.6 (snes)
         rng = SeededRng(4)
         mu = np.array([0.8])
-        cfg = NesConfig(population=6)
         assert default_learning_rates(1) == (1.0, 1.8, 0.6)
         sep = SeparableDistribution(mu, np.array([0.4]))
         full = FullDistribution(mu, 0.4, np.eye(1))
-        batch = sample_walkers(sep, 6, rng)
-        batch.fitnesses = sphere(batch.points)
-        new_sep = snes_step(sep, batch, cfg)
-        new_full = xnes_step(full, batch, cfg)
+        samples = sample_walkers(sep, 6, rng)
+        fitnesses = sphere(sep.to_task(samples))
+        new_sep = snes_step(sep, samples, fitnesses)
+        new_full = xnes_step(full, samples, fitnesses)
         assert np.allclose(new_full.mu, new_sep.mu, atol=1e-14)
         assert np.isclose(np.log(new_full.sigma / 0.4), 3 * np.log(new_sep.sigma[0] / 0.4),
                           atol=1e-14)
@@ -183,11 +174,9 @@ class TestXnesStep:
     def test_shape_gradient_is_traceless(self, rng):
         # det(exp(eta/2 * grad_B)) = 1, so |det B| survives every update
         dist = FullDistribution.isotropic(np.zeros(3), 0.7)
-        cfg = NesConfig(population=8)
         for _ in range(50):
-            batch = sample_walkers(dist, 8, rng)
-            batch.fitnesses = sphere(batch.points)
-            dist = xnes_step(dist, batch, cfg)
+            samples = sample_walkers(dist, 8, rng)
+            dist = xnes_step(dist, samples, sphere(dist.to_task(samples)))
             assert abs(abs(np.linalg.det(dist.shape)) - 1.0) < 1e-8
 
 
@@ -200,20 +189,17 @@ class TestRankInvariance:
             lambda f: np.exp(f),
             lambda f: np.arctan(f),
         ]
-        cfg = NesConfig(population=8)
         for trial in range(100):
             d = 3
             sep = SeparableDistribution(rng.normal(d), np.full(d, 0.5))
             full = FullDistribution.isotropic(rng.normal(d), 0.5)
-            batch = sample_walkers(sep, 8, rng)
+            samples = sample_walkers(sep, 8, rng)
             fits = rng.normal(8)
             transform = transforms[trial % len(transforms)]
-            batch.fitnesses = fits
-            base_sep = snes_step(sep, batch, cfg)
-            base_full = xnes_step(full, batch, cfg)
-            batch.fitnesses = transform(fits)
-            same_sep = snes_step(sep, batch, cfg)
-            same_full = xnes_step(full, batch, cfg)
+            base_sep = snes_step(sep, samples, fits)
+            base_full = xnes_step(full, samples, fits)
+            same_sep = snes_step(sep, samples, transform(fits))
+            same_full = xnes_step(full, samples, transform(fits))
             assert np.array_equal(base_sep.mu, same_sep.mu)
             assert np.array_equal(base_sep.sigma, same_sep.sigma)
             assert np.array_equal(base_full.mu, same_full.mu)

@@ -1,6 +1,7 @@
 """Every exported name resolves, and the names removed from the API stay removed."""
 
 import importlib
+import inspect
 import pkgutil
 from dataclasses import fields
 
@@ -8,8 +9,10 @@ import pytest
 
 import qnes
 from qnes.ansatz import AnsatzSpec
-from qnes.gradients import VarianceScanConfig
-from qnes.nes import FullDistribution, NesConfig, SeparableDistribution
+from qnes.gradients import VarianceScanConfig, hybrid_optimize
+from qnes.harness import ExperimentConfig
+from qnes.nes import (FullDistribution, NesConfig, SeparableDistribution, optimize, snes_step,
+                      xnes_step)
 
 MODULES = ["qnes"] + sorted(f"qnes.{m.name}" for m in pkgutil.iter_modules(qnes.__path__))
 
@@ -18,7 +21,8 @@ REMOVED = {
                        "apply_pauli_string"],
     "qnes.ansatz": ["template_from_text", "FAMILIES", "template_from_gates"],
     "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse", "_rank_order",
-                 "IsotropicDistribution", "canonical_step", "canonical_gradient_estimate"],
+                 "IsotropicDistribution", "canonical_step", "canonical_gradient_estimate",
+                 "WalkerBatch"],
     "qnes.numerics": ["scale_from_factor"],
     "qnes.hamiltonian": ["vqe_fitness", "vqe_fitness_batch", "dense_matrix", "MAX_DENSE_QUBITS"],
     "qnes.gradients": ["energy_loss_gradient"],
@@ -45,3 +49,18 @@ def test_removed_names_stay_removed():
     assert not hasattr(FullDistribution, "min_population")
     assert not hasattr(FullDistribution, "from_factor")
     assert not hasattr(AnsatzSpec, "num_params")
+
+
+def parameters(function) -> list[str]:
+    return list(inspect.signature(function).parameters)
+
+
+def test_a_step_takes_only_what_it_reads():
+    for step in (snes_step, xnes_step):
+        assert parameters(step) == ["dist", "samples", "fitnesses"]
+    for distribution in (SeparableDistribution, FullDistribution):
+        assert parameters(distribution.step) == ["self", "samples", "fitnesses"]
+    assert "callback" not in parameters(optimize)
+    assert "snapshot_interval" not in parameters(hybrid_optimize)
+    assert "hybrid_snapshot_interval" not in {f.name for f in fields(ExperimentConfig)}
+    assert len(fields(ExperimentConfig)) == 14
