@@ -321,10 +321,18 @@ def write_snapshot_csv(path: Path, trace: RunTrace, config: ExperimentConfig, se
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
     lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    body = [line for line in lines if line and not line.startswith("#")]
-    if not body or body[0] != TRACE_SCHEMA:
+    body = [(n, line) for n, line in enumerate(lines, 1) if line and not line.startswith("#")]
+    if not body or body[0][1] != TRACE_SCHEMA:
         raise ValueError(f"{path} is not a trace CSV")
-    rows = [[float(tok) for tok in line.split(",")] for line in body[1:]]
+    width, rows = TRACE_SCHEMA.count(",") + 1, []
+    for number, line in body[1:]:
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
+        if len(row) != width:
+            raise ValueError(f"{path} line {number}: expected {width} fields, got {len(row)}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"trace {path} has no data rows")
     data = np.asarray(rows)

@@ -15,6 +15,9 @@ Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
 sum into a (coeff, perm, phase) table per state width (`_terms`), shared by the
 observable and the Lanczos ground-energy oracle. The kernel works in place with one
 state-sized temporary and the observable with three, from per-thread `_scratch`.
+A rotation's factors are one scalar over the whole batch for an angle column that
+every row shares, and a per-row column otherwise; the real cos multiplies the
+state's float view.
 """
 
 from __future__ import annotations
@@ -198,10 +201,16 @@ def _scratch(shape: tuple[int, int], count: int) -> tuple[np.ndarray, ...]:
 
 def _sweep(state, ops, angles, tmp) -> None:
     """Apply `ops` in place to the (B, 2**Q) `state` at the (B, C) `angles`, with `tmp`
-    as the one temporary; cos, and -i sin over -sin, are (B, 1) blocks per column."""
+    as the one temporary. A column's cos and coefficient (-i sin, or -sin from the second
+    block) are (B, 1) blocks where rows differ and row 0's scalars where every row shares
+    the angle (fixed angles always do); the real cos multiplies the float view. Each
+    factor is pure real or pure imaginary, so every form rounds the same products."""
     half = 0.5 * angles.T[:, :, None]
     sin = np.sin(half)
     cos, coeff = np.cos(half), np.concatenate([-1j * sin, -sin])
+    shared = (angles == angles[:1]).all(axis=0).tolist()
+    tables = (cos, coeff), (cos[:, 0, 0], coeff[:, 0, 0])
+    parts = state.view(float)
     for perm, phase, column in ops:
         if column is None:
             state *= phase
@@ -212,8 +221,9 @@ def _sweep(state, ops, angles, tmp) -> None:
             state.take(perm, axis=1, out=tmp, mode="clip")
             if phase is not None:
                 tmp *= phase
-        state *= cos[column]
-        tmp *= coeff[column]
+        cos_of, coeff_of = tables[shared[column]]
+        parts *= cos_of[column]
+        tmp *= coeff_of[column]
         state += tmp
 
 
@@ -251,10 +261,9 @@ def compile_circuit(template) -> tuple[tuple, np.ndarray, np.ndarray]:
 def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
     """Evaluate the circuit on every parameter row; returns states of shape (B, 2**Q)."""
     param_rows = np.asarray(param_rows, dtype=float)
-    if param_rows.ndim != 2 or param_rows.shape[1] != template.num_params:
-        raise ValueError(
-            f"expected rows of {template.num_params} parameters, got shape {param_rows.shape}"
-        )
+    if param_rows.ndim != 2 or param_rows.shape[1] != template.num_params or not len(param_rows):
+        raise ValueError(f"expected one or more rows of {template.num_params} parameters, "
+                         f"got shape {param_rows.shape}")
     if not np.isfinite(param_rows).all():
         raise ValueError("parameter rows must be finite")
     ops, fixed, start = template.plan

@@ -640,6 +640,16 @@ class TestCli:
             assert f"{other} is not a trace CSV" in capsys.readouterr().err
             assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("row, reason", [("1,4,0.4", "expected 5 fields, got 3"),
+                                             ("1,4,abc,0.1,0", "could not convert")])
+    def test_summarize_names_the_line_of_a_malformed_row(self, tmp_path, capsys, row, reason):
+        a = tmp_path / "a.csv"
+        constant_trace_csv(a, [0.25])
+        a.write_text(a.read_text() + row + "\n", encoding="utf-8")
+        assert main(["summarize", str(a), "--out", str(tmp_path / "s.csv")]) == 3
+        assert f"{a} line 4: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_summarize_write_failure_exit_three(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         constant_trace_csv(a, [0.25, 0.2])

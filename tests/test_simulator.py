@@ -144,7 +144,8 @@ def split_circuits(draw):
     """(template, rows): a lead of fixed gates and CZs, a body that also has slotted
     gates, then a tail of fixed gates and CZs, on 1-6 qubits with 1-17 rows. The plan
     runs the gates before the first slot at compile time; that lead is empty, part or
-    (without slots) all of the circuit."""
+    (without slots) all of the circuit. Row 0's values are copied into a drawn set of
+    columns, so one call mixes columns every row shares with columns that vary."""
     q = draw(st.integers(1, 6))
     gates, slot = [], 0
     for part in ("lead", "body", "tail"):
@@ -160,12 +161,20 @@ def split_circuits(draw):
                 gates.append(Gate(kind, (draw(st.integers(0, q - 1)),), angle=draw(ANGLES)))
     b = draw(st.integers(1, 17))
     values = draw(st.lists(ANGLES, min_size=b * slot, max_size=b * slot))
-    return CircuitTemplate(q, gates), np.array(values).reshape(b, slot)
+    rows = np.array(values).reshape(b, slot)
+    shared = draw(st.lists(st.booleans(), min_size=slot, max_size=slot))
+    rows[:, shared] = rows[:1, shared]
+    return CircuitTemplate(q, gates), rows
 
 
-def with_rows(template, b):
-    """(template, b rows of angles in [-2 pi, 2 pi)), for an @example."""
+def with_rows(template, b, varying=None):
+    """(template, b rows of angles in [-2 pi, 2 pi)), for an @example; with `varying`,
+    only those columns differ between rows."""
     rows = np.random.default_rng(3).uniform(-2 * np.pi, 2 * np.pi, (b, template.num_params))
+    if varying is not None:
+        shared = np.ones(template.num_params, dtype=bool)
+        shared[list(varying)] = False
+        rows[:, shared] = rows[:1, shared]
     return template, rows
 
 
@@ -182,6 +191,9 @@ class TestPerGateReferee:
     @example(with_rows(CircuitTemplate(3, [Gate("RZ", (0,), slot=0), Gate("RY", (1,), angle=0.9),
                                            Gate("CZ", (1, 2)), Gate("RX", (2,), slot=1),
                                            Gate("RY", (0,), angle=-2.5)]), 5))
+    @example(with_rows(build_rpqc(4, 3, structure_seed=5), 17, varying=()))
+    @example(with_rows(build_rpqc(4, 3, structure_seed=5), 1))
+    @example(with_rows(build_rpqc(4, 3, structure_seed=5), 2, varying=(6,)))
     def test_kernel_matches_per_gate_formula_bit_for_bit(self, case):
         template, rows = case
         assert np.array_equal(run_circuit_batch(template, rows), per_gate_states(template, rows))
@@ -224,6 +236,10 @@ class TestRunCircuit:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="parameters"):
             run_circuit(single_slot_template(), np.zeros(2))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"one or more rows .* got shape \(0, 1\)"):
+            run_circuit_batch(single_slot_template(), np.zeros((0, 1)))
 
     def test_norm_is_one(self, rng):
         for _ in range(20):
