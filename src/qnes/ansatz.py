@@ -23,6 +23,10 @@ BASIS_ROTATION_ANGLE = np.pi / 4
 # smallest (qubits, layers) each built family accepts
 MIN_SIZE = {"rpqc": (2, 1), "alpqc": (3, 1)}
 
+# most gates a loaded config may build; a gate takes a few microseconds to build, and
+# every preset has at most 960
+MAX_GATES = 100_000
+
 
 @dataclass(frozen=True)
 class CircuitTemplate:
@@ -138,6 +142,13 @@ class AnsatzSpec:
         if self.family not in MIN_SIZE:
             raise ValueError(f"family must be rpqc or alpqc, got {self.family!r}")
         check_size(self.family, self.num_qubits, self.num_layers)
+
+    @property
+    def num_gates(self) -> int:
+        """len(self.build().gates), without building: the basis layer, then per layer
+        rpqc's Q rotations and Q - 1 CZs, or alpqc's 2(Q - 1) RYs and Q - 1 CZs."""
+        per_layer = 2 * self.num_qubits - 1 if self.family == "rpqc" else 3 * (self.num_qubits - 1)
+        return self.num_qubits + self.num_layers * per_layer
 
     def build(self) -> CircuitTemplate:
         if self.family == "rpqc":

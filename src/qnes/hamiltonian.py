@@ -102,7 +102,7 @@ def exact_ground_energy(h: PauliSum) -> float:
     real = not any(sum(p == "Y" for _, p in paulis) % 2 for _, paulis in h.terms)
     tol = LANCZOS_RTOL * sum(abs(coeff) for coeff, _, _ in terms)
     dim = 1 << h.num_qubits
-    diag = sum((coeff * phase for coeff, perm, phase in terms if perm is None), np.zeros(dim))
+    diag = sum((coeff * phase.real for coeff, perm, phase in terms if perm is None), np.zeros(dim))
     flips = [term for term in terms if term[1] is not None]
 
     gen = np.random.default_rng(0)

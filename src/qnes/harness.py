@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ansatz import AnsatzSpec, CircuitTemplate, template_to_text
+from .ansatz import MAX_GATES, AnsatzSpec, CircuitTemplate, template_to_text
 from .batching import PartitionStrategy, batch_optimize, make_partition
 from .gradients import (
     GdConfig,
@@ -184,6 +184,10 @@ def parse_config_text(text: str, base_dir: Path | None = None,
         raise ConfigError(f"[ansatz] qubits = {spec.num_qubits}: one state of 16 * 2**"
                           f"{spec.num_qubits} bytes exceeds the {memory / 2**30:.1f} GiB of "
                           "physical memory")
+    if spec.num_gates > MAX_GATES:
+        raise ConfigError(f"[ansatz] layers = {spec.num_layers}: the {spec.family} circuit on "
+                          f"{spec.num_qubits} qubits has {spec.num_gates:,} gates, more than "
+                          f"the {MAX_GATES:,} a run builds")
     template = spec.build()
 
     optimizer = get("optimizer", "kind", "snes")

@@ -12,17 +12,26 @@ runs evaluate many parameter vectors of the same circuit at once.
 
 Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
 `template.plan`, the leading fixed gates already run into its start state); a Pauli
-sum into a (coeff, perm, phase) table per state width (`_terms`), shared by the
-observable and the Lanczos ground-energy oracle. The kernel works in place with one
-state-sized temporary and the observable with three, from per-thread `_scratch`.
-A rotation's factors are one scalar over the whole batch for an angle column that
-every row shares, and a per-row column otherwise; the real cos multiplies the
-state's float view.
+sum into a (coeff, perm, phase) table per state width (`_terms`), which the Lanczos
+ground-energy oracle reads and the observable reads grouped by flip mask
+(`_flip_groups`). The kernel works in place with one state-sized temporary and the
+observable with three, from per-thread `_scratch`. A rotation's factors are one
+scalar over the whole batch for an angle column that every row shares, and a per-row
+column otherwise; the real cos multiplies the state's float view. The sign vectors
+the hot loops multiply by (the RY/RZ z signs, the CZ-run signs and the observable's
+phases) are cached complex, so numpy casts none of them per call.
+
+One buffer rule: numpy copies an operand that broadcasts per row, or needs a cast,
+through its ufunc buffer (8192 elements by default) when a row is shorter than that
+buffer but the batch is longer. `_row_buffer` lowers the buffer to one row for the
+kernel's sweep and the observable's term loop. Each product and sum is still rounded
+per element and each row reduced whole, so no bit changes.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -149,17 +158,25 @@ def _z_sign(num_qubits: int, qubit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
+def _z_phase(num_qubits: int, qubit: int) -> np.ndarray:
+    """The z sign vector as complex: the phase of every RY and RZ op on `qubit`."""
+    return _z_sign(num_qubits, qubit).astype(complex)
+
+
+@lru_cache(maxsize=512)
 def _cz_sign(num_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Diagonal of a run of CZ gates: -1 where an odd number of pairs have both bits set."""
+    """Diagonal of a run of CZ gates, as complex: -1 where an odd number of pairs have
+    both bits set."""
     idx = np.arange(1 << num_qubits)
     both = sum(((idx >> q_a) & (idx >> q_b) & 1) for q_a, q_b in pairs)
-    return 1.0 - 2.0 * (both & 1)
+    return (1.0 - 2.0 * (both & 1)).astype(complex)
 
 
 def _pauli_action(num_qubits: int, paulis) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(perm, phase) with P|psi> = phase * psi[perm]; None stands for an identity part.
 
-    Phases multiply; the first flip's cached permutation is XORed with any further flips.
+    Phases multiply, the Z signs as real vectors, and the product is returned complex;
+    the first flip's cached permutation is XORed with any further flips.
     """
     perm, phase, mask = None, None, 0
     for q, p in paulis:
@@ -171,7 +188,7 @@ def _pauli_action(num_qubits: int, paulis) -> tuple[np.ndarray | None, np.ndarra
         if p != "X":
             factor = _z_sign(num_qubits, q) if p == "Z" else _y_factor(num_qubits, q)
             phase = factor if phase is None else phase * factor
-    return (perm ^ mask if mask else perm), phase
+    return (perm ^ mask if mask else perm), (None if phase is None else phase.astype(complex))
 
 
 class _ScratchStore(threading.local):
@@ -199,32 +216,51 @@ def _scratch(shape: tuple[int, int], count: int) -> tuple[np.ndarray, ...]:
     return tuple(block[i, :rows] for i in range(count))
 
 
+@contextmanager
+def _row_buffer(shape: tuple[int, int]):
+    """Lower numpy's ufunc buffer to one row (a multiple of 16) for the block, when the
+    (rows, width) batch holds more amplitudes than the buffer and a row fewer; restore
+    it on the way out, exceptions included."""
+    rows, width = shape
+    size, limit = max(width, 16), np.getbufsize()
+    if rows * width <= limit or size >= limit:
+        yield
+        return
+    previous = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
 def _sweep(state, ops, angles, tmp) -> None:
     """Apply `ops` in place to the (B, 2**Q) `state` at the (B, C) `angles`, with `tmp`
-    as the one temporary. A column's cos and coefficient (-i sin, or -sin from the second
-    block) are (B, 1) blocks where rows differ and row 0's scalars where every row shares
-    the angle (fixed angles always do); the real cos multiplies the float view. Each
-    factor is pure real or pure imaginary, so every form rounds the same products."""
+    as the one temporary, under `_row_buffer`. A column's cos and coefficient (-i sin, or
+    -sin from the second block) are (B, 1) blocks where rows differ and row 0's scalars
+    where every row shares the angle (fixed angles always do); the real cos multiplies
+    the float view, and each phase is a cached complex vector. Each factor is pure real
+    or pure imaginary, so every form rounds the same products."""
     half = 0.5 * angles.T[:, :, None]
     sin = np.sin(half)
     cos, coeff = np.cos(half), np.concatenate([-1j * sin, -sin])
     shared = (angles == angles[:1]).all(axis=0).tolist()
     tables = (cos, coeff), (cos[:, 0, 0], coeff[:, 0, 0])
     parts = state.view(float)
-    for perm, phase, column in ops:
-        if column is None:
-            state *= phase
-            continue
-        if perm is None:
-            np.multiply(state, phase, out=tmp)
-        else:
-            state.take(perm, axis=1, out=tmp, mode="clip")
-            if phase is not None:
-                tmp *= phase
-        cos_of, coeff_of = tables[shared[column]]
-        parts *= cos_of[column]
-        tmp *= coeff_of[column]
-        state += tmp
+    with _row_buffer(state.shape):
+        for perm, phase, column in ops:
+            if column is None:
+                state *= phase
+                continue
+            if perm is None:
+                np.multiply(state, phase, out=tmp)
+            else:
+                state.take(perm, axis=1, out=tmp, mode="clip")
+                if phase is not None:
+                    tmp *= phase
+            cos_of, coeff_of = tables[shared[column]]
+            parts *= cos_of[column]
+            tmp *= coeff_of[column]
+            state += tmp
 
 
 def compile_circuit(template) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -234,13 +270,15 @@ def compile_circuit(template) -> tuple[tuple, np.ndarray, np.ndarray]:
     Each op is (perm, phase, column). A rotation reads `column` of the C-column matrix
     [parameter rows | fixed angles]: its slot, or P plus its place among the fixed
     angles; an RY's is that less C, which picks the same cos and the -sin coefficient
-    block. A run of adjacent CZ gates is one op, column None, phase its sign vector.
+    block. RX gathers through its bit flip, RZ multiplies by the z signs, and RY does
+    both. A run of adjacent CZ gates is one op, column None, phase its sign vector.
     """
+    n = template.num_qubits
     width = template.num_params + sum(g.angle is not None for g in template.gates)
     ops, fixed, lead = [], [], len(template.gates)
     for is_cz, gates in groupby(template.gates, key=lambda g: g.kind == "CZ"):
         if is_cz:
-            ops.append((None, _cz_sign(template.num_qubits, tuple(g.qubits for g in gates)), None))
+            ops.append((None, _cz_sign(n, tuple(g.qubits for g in gates)), None))
             continue
         for gate in gates:
             if gate.slot is not None:
@@ -248,11 +286,13 @@ def compile_circuit(template) -> tuple[tuple, np.ndarray, np.ndarray]:
             else:
                 column = template.num_params + len(fixed)
                 fixed.append(gate.angle)
-            perm, phase = _pauli_action(template.num_qubits, ((gate.qubits[0], gate.kind[1]),))
-            if gate.kind == "RY":  # Y|psi> = -i z psi[perm] for the real sign vector z
-                phase, column = _z_sign(template.num_qubits, gate.qubits[0]), column - width
+            q = gate.qubits[0]
+            perm = None if gate.kind == "RZ" else _x_permutation(n, q)
+            phase = None if gate.kind == "RX" else _z_phase(n, q)
+            if gate.kind == "RY":  # Y|psi> = -i z psi[perm] for the sign vector z
+                column -= width
             ops.append((perm, phase, column))
-    start = zero_state(template.num_qubits, batch=1)
+    start = zero_state(n, batch=1)
     angles = np.array([[0.0] * template.num_params + fixed])
     _sweep(start, ops[:lead], angles, np.empty_like(start))
     return tuple(ops[lead:]), angles[0, template.num_params:], start[0]
@@ -295,22 +335,38 @@ def _terms(h: PauliSum, num_qubits: int) -> tuple:
     return tuple((coeff, *_pauli_action(num_qubits, paulis)) for coeff, paulis in h.terms)
 
 
+@lru_cache(maxsize=64)
+def _flip_groups(h: PauliSum, num_qubits: int) -> tuple:
+    """The term table grouped by flip mask, in order of first use: (perm, ((index, phase),
+    ...)) per mask, with perm None for the Z-only and identity terms."""
+    groups = {}
+    for index, ((_, paulis), (_, perm, phase)) in enumerate(zip(h.terms, _terms(h, num_qubits))):
+        mask = sum(1 << q for q, p in paulis if p != "Z")
+        groups.setdefault(mask, (perm, []))[1].append((index, phase))
+    return tuple((perm, tuple(members)) for perm, members in groups.values())
+
+
 def pauli_expectation_batch(state: np.ndarray, h: PauliSum) -> np.ndarray:
+    """<psi|H|psi> per row. conj(psi) * psi[perm] is formed once per flip mask, and each
+    of its terms reduces that product times its phase; a phase of +-1 or +-i commutes
+    exactly with the product. The terms are then added in the sum's order."""
     rows = np.atleast_2d(np.asarray(state, dtype=complex))
     num_qubits = num_qubits_of(rows)
     if num_qubits < h.num_qubits:
         raise ValueError("observable acts on more qubits than the state has")
-    total = np.zeros(rows.shape[0], dtype=complex)
+    values = [None] * len(h.terms)
     conj, phi, prod = _scratch(rows.shape, 3)
     np.conjugate(rows, out=conj)
-    for coeff, perm, phase in _terms(h, num_qubits):
-        if perm is None:
-            term = rows if phase is None else np.multiply(rows, phase, out=phi)
-        else:
-            term = rows.take(perm, axis=-1, out=phi, mode="clip")
-            if phase is not None:
-                term *= phase
-        total += coeff * np.add.reduce(np.multiply(conj, term, out=prod), axis=-1)
+    with _row_buffer(rows.shape):
+        for perm, members in _flip_groups(h, num_qubits):
+            flipped = rows if perm is None else rows.take(perm, axis=-1, out=phi, mode="clip")
+            np.multiply(conj, flipped, out=prod)
+            for index, phase in members:
+                term = prod if phase is None else np.multiply(prod, phase, out=phi)
+                values[index] = np.add.reduce(term, axis=-1)
+    total = np.zeros(rows.shape[0], dtype=complex)
+    for (coeff, _), value in zip(h.terms, values):
+        total += coeff * value
     residue = np.max(np.abs(total.imag)) if total.size else 0.0
     if residue > IMAG_RESIDUE_TOL:
         raise RuntimeError(f"expectation has imaginary residue {residue:.3e}")

@@ -1,10 +1,11 @@
-"""Shared test helpers: a dense-matrix circuit oracle, a per-gate bit referee and
-random circuit generation.
+"""Shared test helpers: a dense-matrix circuit oracle, per-gate and per-term bit
+referees and random circuit generation.
 
 The oracle builds the full 2**Q x 2**Q unitary from explicit Kronecker products
 and dense multiplication; it shares no code with the simulator's permutation and
-phase-vector kernel. The referee applies the kernel's own formula one gate at a
-time, with no compiled plan, so the kernel must match it bit for bit.
+phase-vector kernel. The referees apply the kernel's and the observable's own
+formulas one gate or one term at a time, with no compiled plan or term table, so
+the simulator must match them bit for bit.
 """
 
 import numpy as np
@@ -101,6 +102,29 @@ def per_gate_states(template, rows):
             tmp = tmp * (1.0 - 2.0 * bit[0])
         state = state * np.cos(half) + tmp * (-1j * np.sin(half))
     return state
+
+
+def per_term_expectations(states, h):
+    """<psi|H|psi> for every row, one term at a time: a term gathers through its bit
+    flips, multiplies by its phase (the product over its factors in qubit order of the
+    real sign 1 - 2b for Z and i(2b - 1) for Y), takes conj(psi) times that, sums the
+    row, and is added times its coefficient in the sum's order."""
+    rows = np.atleast_2d(states)
+    idx = np.arange(rows.shape[-1])
+    total = np.zeros(rows.shape[0], dtype=complex)
+    for coeff, paulis in h.terms:
+        flips, phase = 0, None
+        for q, p in paulis:
+            bit = (idx >> q) & 1
+            flips |= (p != "Z") << q
+            if p != "X":
+                factor = 1.0 - 2.0 * bit if p == "Z" else 1j * (2.0 * bit - 1.0)
+                phase = factor if phase is None else phase * factor
+        term = rows[:, idx ^ flips]
+        if phase is not None:
+            term = term * phase
+        total += coeff * np.add.reduce(np.conj(rows) * term, axis=-1)
+    return total.real
 
 
 def random_template(rng: SeededRng, num_qubits, num_gates, cz_probability=0.3):

@@ -122,6 +122,13 @@ class TestAnsatzSpec:
         with pytest.raises(ValueError, match="family"):
             AnsatzSpec("uccsd", 4, 2).build()
 
+    @pytest.mark.parametrize("family", ["rpqc", "alpqc"])
+    @pytest.mark.parametrize("qubits, layers", [(3, 1), (4, 2), (5, 10), (8, 3), (10, 50),
+                                                (11, 4), (18, 7)])
+    def test_gate_count_closed_form_matches_the_build(self, family, qubits, layers):
+        spec = AnsatzSpec(family, qubits, layers, structure_seed=3)
+        assert spec.num_gates == len(spec.build().gates)
+
 
 class TestSerialization:
     """circuit.txt is provenance only, so these pin its exact text."""

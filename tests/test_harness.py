@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,12 @@ class TestConfigParsing:
         assert config.template.num_qubits == 16
         with pytest.raises(ConfigError, match=r"\[ansatz\] qubits = 17"):
             parse_config_text(text, tmp_path, {"ansatz.qubits": "17"})
+
+    def test_gate_cap_names_layers_before_building(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("qnes.ansatz.AnsatzSpec.build", None)  # the guard must not build
+        text = STATEPREP_CONFIG.format(out="runs/x")
+        with pytest.raises(ConfigError, match=r"\[ansatz\] layers = 20000: .* 100,003 gates"):
+            parse_config_text(text, tmp_path, {"ansatz.layers": "20000"})  # 3 + 20000 * 5
 
     def test_empty_seeds_rejected(self, tmp_path):
         text = STATEPREP_CONFIG.format(out="runs/x").replace("seeds = 0 1", "seeds =")
@@ -425,6 +432,15 @@ class TestCli:
     def test_bad_override_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         assert main(["run", str(path), "--override", "walkers9"]) == 2
+
+    @pytest.mark.parametrize("layers", ["2000000", "100000000"])
+    def test_huge_layer_count_exits_two_at_once(self, tmp_path, capsys, layers):
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
+        start = time.perf_counter()
+        assert main(["run", str(path), "--override", f"ansatz.layers={layers}"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"[ansatz] layers = {layers}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override, key", [
         ("experiment.max_iterations=abc", "[experiment] max_iterations"),

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dense_pauli_string, dense_unitary, per_gate_states, random_template
+from conftest import (dense_pauli_string, dense_unitary, per_gate_states, per_term_expectations,
+                      random_template)
 
 from qnes import ansatz, simulator
 from qnes.ansatz import CircuitTemplate, build_alpqc, build_rpqc
@@ -194,6 +195,12 @@ class TestPerGateReferee:
     @example(with_rows(build_rpqc(4, 3, structure_seed=5), 17, varying=()))
     @example(with_rows(build_rpqc(4, 3, structure_seed=5), 1))
     @example(with_rows(build_rpqc(4, 3, structure_seed=5), 2, varying=(6,)))
+    # past numpy's 8192-element ufunc buffer, where the sweep lowers it to one row
+    @example(with_rows(build_rpqc(10, 2, structure_seed=4), 9))
+    @example(with_rows(build_rpqc(10, 2, structure_seed=4), 16, varying=(3, 11, 17)))
+    @example(with_rows(build_alpqc(9, 1), 17))
+    @example(with_rows(build_alpqc(9, 1), 17, varying=(0, 9)))
+    @example(with_rows(build_rpqc(13, 1, structure_seed=6), 2))
     def test_kernel_matches_per_gate_formula_bit_for_bit(self, case):
         template, rows = case
         assert np.array_equal(run_circuit_batch(template, rows), per_gate_states(template, rows))
@@ -219,9 +226,25 @@ class TestCompiledPlan:
         assert len(template.gates) == 960 and len(ops) == 550
         cz = [phase for _, phase, column in ops if column is None]
         assert len(cz) == 50 and all(phase is cz[0] for phase in cz)
+        assert cz[0].dtype == complex
         assert np.array_equal(fixed, np.full(10, np.pi / 4))
         basis = CircuitTemplate(10, template.gates[:10])
         assert np.array_equal(start, dense_unitary(basis, np.zeros(0))[:, 0])
+
+    def test_rotation_signs_are_one_complex_array_per_qubit(self):
+        idx = np.arange(1 << 10)
+        plans = [build_rpqc(10, 50, structure_seed=11).plan, build_alpqc(10, 3).plan]
+        signs = {}
+        for ops, _, _ in plans:
+            for _, phase, column in ops:
+                if column is None or phase is None:  # a CZ run or an RX
+                    continue
+                # the first index where qubit q's sign is -1 is 2**q
+                qubit = int(np.flatnonzero(phase.real < 0)[0]).bit_length() - 1
+                assert phase.dtype == complex
+                assert np.array_equal(phase, 1.0 - 2.0 * ((idx >> qubit) & 1))
+                assert signs.setdefault(qubit, phase) is phase
+        assert sorted(signs) == list(range(10))
 
 
 class TestRunCircuit:
@@ -421,6 +444,124 @@ class TestPauliExpectation:
         h = PauliSum.build(3, [(1.0, {2: "Z"})])
         with pytest.raises(ValueError, match="acts on more qubits than the state has"):
             pauli_expectation_batch(zero_state(2, batch=2), h)
+
+
+@st.composite
+def pauli_sums(draw):
+    """(states, h): 1-17 rows on 1-10 qubits, some amplitudes exactly 0, and a sum of
+    identity, Z-only, X/Y-mixed and odd-Y terms, with flip masks that repeat across
+    terms (the same qubits flipped by X in one term and Y in another)."""
+    q = draw(st.integers(1, 10))
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        letters = draw(st.lists(st.sampled_from("IXYZ"), min_size=q, max_size=q))
+        terms.append({k: p for k, p in enumerate(letters) if p != "I"})
+        if draw(st.booleans()):  # same flips, X and Y swapped, Z dropped
+            terms.append({k: "XY"[p == "X"] for k, p in terms[-1].items() if p != "Z"})
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(terms), max_size=len(terms)))
+    b, seed, zeros = draw(st.integers(1, 17)), draw(st.integers(0, 2**16)), draw(st.booleans())
+    return sum_case(q, b, zip(coeffs, terms), seed, zeros)
+
+
+def sum_case(q, b, terms, seed=0, zeros=False):
+    """(states, h) for an @example: b random complex rows on q qubits, a third of their
+    amplitudes set to 0 with `zeros`."""
+    gen = np.random.default_rng(seed)
+    states = gen.standard_normal((b, 1 << q)) + 1j * gen.standard_normal((b, 1 << q))
+    if zeros:
+        states[gen.random(states.shape) < 1 / 3] = 0.0
+    return states, PauliSum.build(q, terms)
+
+
+MIXED_TERMS = [(0.5, {}), (0.3, {0: "Z", 4: "Z"}), (-0.2, {1: "X", 2: "Y"}), (0.1, {3: "Y"}),
+               (0.4, {1: "Y", 2: "X", 5: "Z"}), (-0.7, {1: "Y", 2: "Y"}), (0.25, {6: "Z"}),
+               (0.9, {3: "Y", 7: "X"}), (-0.6, {3: "X"})]
+
+
+class TestObservableReferee:
+    """The grouped observable keeps every bit of the plain per-term formula."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pauli_sums())
+    @example(sum_case(1, 1, [(1.0, {0: "Y"})]))
+    @example(sum_case(3, 4, [(0.7, {}), (-1.2, {})], zeros=True))
+    @example(sum_case(8, 17, MIXED_TERMS))
+    # past numpy's 8192-element ufunc buffer, where the term loop lowers it to one row
+    @example(sum_case(10, 9, MIXED_TERMS, seed=1))
+    @example(sum_case(10, 16, MIXED_TERMS, seed=2, zeros=True))
+    @example(sum_case(9, 17, MIXED_TERMS[::-1], seed=3))
+    @example(sum_case(14, 1, MIXED_TERMS + [(0.2, {13: "X", 11: "Y"})], seed=4))
+    def test_observable_matches_per_term_formula_bit_for_bit(self, case):
+        states, h = case
+        assert np.array_equal(pauli_expectation_batch(states, h), per_term_expectations(states, h))
+
+
+class TestBufferRule:
+    """numpy's ufunc buffer is one row inside a call whose batch is larger than the buffer,
+    and is back to what it was after every call, whether it returns or raises."""
+
+    @pytest.mark.parametrize("shape, inside", [
+        ((8, 1024), 8192),     # fits: untouched
+        ((9, 1024), 1024),     # 9216 amplitudes: one row
+        ((17, 512), 512),
+        ((3000, 4), 16),       # never below 16
+        ((2, 8192), 8192),     # a row as long as the buffer: untouched
+        ((2, 16384), 8192),
+    ])
+    def test_buffer_inside_the_rule(self, shape, inside):
+        with simulator._row_buffer(shape):
+            assert np.getbufsize() == inside
+        assert np.getbufsize() == 8192
+
+    def test_buffer_restored_when_the_block_raises(self):
+        with pytest.raises(KeyError):
+            with simulator._row_buffer((16, 1024)):
+                raise KeyError("inside")
+        assert np.getbufsize() == 8192
+
+    @staticmethod
+    def calls_and_bufsizes():
+        """Run both entry points on either side of the rule, then make each raise after its
+        loop (norm drift, imaginary residue) and inside it; the buffer size after each."""
+        template = build_rpqc(10, 2, structure_seed=4)
+        sizes = []
+        for b in (4, 16):
+            rows = np.random.default_rng(b).uniform(0, 2 * np.pi, (b, template.num_params))
+            states = run_circuit_batch(template, rows)
+            sizes.append(np.getbufsize())
+            pauli_expectation_batch(states, PauliSum.build(10, MIXED_TERMS))
+            sizes.append(np.getbufsize())
+        broken = build_rpqc(10, 2, structure_seed=4)
+        ops, fixed, start = broken.plan
+        broken.__dict__["plan"] = ops, fixed, 2.0 * start
+        with pytest.raises(RuntimeError, match="drifted"):
+            run_circuit_batch(broken, rows)
+        sizes.append(np.getbufsize())
+        broken.__dict__["plan"] = ops + ((None, np.ones(3, dtype=complex), None),), fixed, start
+        with pytest.raises(ValueError):
+            run_circuit_batch(broken, rows)
+        sizes.append(np.getbufsize())
+        return sizes, states
+
+    def test_buffer_unchanged_after_every_call(self, monkeypatch):
+        sizes, states = self.calls_and_bufsizes()
+        # a phase of i on |psi|^2 leaves the whole value imaginary
+        monkeypatch.setattr(simulator, "_flip_groups",
+                            lambda h, q: ((None, ((0, np.full(1 << q, 1j)),)),))
+        with pytest.raises(RuntimeError, match="imaginary residue"):
+            pauli_expectation_batch(states, PauliSum.build(10, [(1.0, {0: "Z"})]))
+        sizes.append(np.getbufsize())
+        monkeypatch.setattr(simulator, "_flip_groups",
+                            lambda h, q: ((None, ((0, np.ones(3, dtype=complex)),)),))
+        with pytest.raises(ValueError):
+            pauli_expectation_batch(states, PauliSum.build(10, [(1.0, {0: "Z"})]))
+        sizes.append(np.getbufsize())
+        assert sizes == [8192] * 8
+
+    def test_buffer_unchanged_in_a_worker_thread(self):
+        sizes, _ = in_fresh_thread(self.calls_and_bufsizes)
+        assert sizes == [8192] * 6
+        assert np.getbufsize() == 8192
 
 
 def in_fresh_thread(fn, *args):
