@@ -49,6 +49,15 @@ SUMMARY_SCHEMA = "iteration,loss_mean,loss_min,loss_max"
 SCAN_SCHEMA = "sigma_init,k,variance_surrogate,variance_exact"
 SNAPSHOT_SCHEMA = "iteration,param_index,gradient"
 
+# Bytes one cached child stream of `SeededRng` holds, its Philox generator included: RSS
+# grew by 1,335 bytes per stream over 50,000 streams (numpy 2.4). The strategy loop caches
+# one stream per walker.
+STREAM_BYTES = 1_400
+
+# Angles are 2 pi-periodic, so a search wider than about 160 turns carries no information;
+# a width this large still keeps every walker row finite.
+MAX_WIDTH = 1e3
+
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration (CLI exit code 2)."""
@@ -100,6 +109,17 @@ def _positive(value) -> float:
     if not (math.isfinite(number) and number > 0):
         raise ValueError("must be finite and > 0")
     return number
+
+
+def _width(value) -> float:
+    number = _positive(value)
+    if number > MAX_WIDTH:
+        raise ValueError(f"must be <= {MAX_WIDTH:g} radians; angles are 2 pi-periodic")
+    return number
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _path(value: str) -> str:
@@ -179,7 +199,7 @@ def parse_config_text(text: str, base_dir: Path | None = None,
     spec = _build("ansatz", AnsatzSpec, require("ansatz", "family"),
                   require("ansatz", "qubits", int), require("ansatz", "layers", int),
                   get("ansatz", "structure_seed", "0", _at_least(0)))
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _physical_memory()
     if spec.num_qubits > math.log2(memory / 16):
         raise ConfigError(f"[ansatz] qubits = {spec.num_qubits}: one state of 16 * 2**"
                           f"{spec.num_qubits} bytes exceeds the {memory / 2**30:.1f} GiB of "
@@ -205,7 +225,7 @@ def parse_config_text(text: str, base_dir: Path | None = None,
         out_dir=base_dir / get("experiment", "out", "runs/out", _path),
         template=template,
         optimizer=optimizer,
-        sigma_init=get("optimizer", "sigma_init", "0.1", _positive),
+        sigma_init=get("optimizer", "sigma_init", "0.1", _width),
         workers=get("optimizer", "workers", "0", _at_least(0)),
         nes=NesConfig(population=get("optimizer", "walkers", "16", _at_least(2)),
                       max_iterations=max_iterations,
@@ -219,7 +239,7 @@ def parse_config_text(text: str, base_dir: Path | None = None,
         scan=_build("variance_scan", VarianceScanConfig,
                     num_inits=get("variance_scan", "num_inits", "500", _at_least(2)),
                     sigma_values=get("variance_scan", "sigma_values", "pi/8 pi/16 pi/32",
-                                     tokens(lambda token: _positive(_parse_angle_token(token)))),
+                                     tokens(lambda token: _width(_parse_angle_token(token)))),
                     walker_counts=get("variance_scan", "walker_counts", "1 2 4 8",
                                       tokens(_at_least(1))),
                     observable=local_cost_observable(template.num_qubits)),
@@ -271,6 +291,16 @@ def _validate(config: ExperimentConfig) -> None:
     if config.experiment == "variance_scan" and config.template.family != "rpqc":
         raise ConfigError("[ansatz] family must be rpqc for variance_scan, "
                           "which scans the random circuit")
+    # one generation holds its (k, P) sample and point matrices, and the strategy loop
+    # one cached stream per walker; nothing is allocated here
+    p, memory = config.template.num_params, _physical_memory()
+    for key, k, stream in (("[optimizer] walkers", config.nes.population, STREAM_BYTES),
+                           ("[variance_scan] walker_counts", max(config.scan.walker_counts), 0)):
+        held = k * (16 * p + stream)
+        if held > memory:
+            raise ConfigError(f"{key} = {k}: one generation of {k:,} walkers on {p} parameters "
+                              f"holds {held / 2**30:.1f} GiB, more than the "
+                              f"{memory / 2**30:.1f} GiB of physical memory")
 
 
 def load_config(path, overrides: dict[str, str] | None = None, seeds=None,

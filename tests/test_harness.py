@@ -1,10 +1,12 @@
 import json
+import re
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qnes import harness
 from qnes.ansatz import AnsatzSpec
 from qnes.batching import PartitionStrategy
 from qnes.cli import main
@@ -98,6 +100,30 @@ class TestConfigParsing:
         assert config.template.num_qubits == 16
         with pytest.raises(ConfigError, match=r"\[ansatz\] qubits = 17"):
             parse_config_text(text, tmp_path, {"ansatz.qubits": "17"})
+
+    def test_walkers_must_fit_in_physical_memory(self, tmp_path, monkeypatch):
+        # 1 MiB of memory; per walker: the 6-parameter sample and point rows (16 * 6 bytes),
+        # plus one cached random stream for the strategy; nothing is allocated
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr("qnes.harness.os.sysconf", pages.__getitem__)
+        text = STATEPREP_CONFIG.format(out="runs/x")
+        for key, per_walker, value in (("optimizer.walkers", 96 + harness.STREAM_BYTES, "{}"),
+                                       ("variance_scan.walker_counts", 96, "1 {}")):
+            fits = 2**20 // per_walker
+            parse_config_text(text, tmp_path, {key: value.format(fits)})
+            name = "[{}] {}".format(*key.split("."))
+            with pytest.raises(ConfigError, match=re.escape(f"{name} = {fits + 1}: ")):
+                parse_config_text(text, tmp_path, {key: value.format(fits + 1)})
+
+    @pytest.mark.parametrize("key", ["optimizer.sigma_init", "variance_scan.sigma_values"])
+    def test_widths_have_an_upper_bound(self, tmp_path, key):
+        text = STATEPREP_CONFIG.format(out="runs/x")
+        config = parse_config_text(text, tmp_path, {key: "1000"})
+        assert 1000.0 in (config.sigma_init, *config.scan.sigma_values)
+        name = "[{}] {}".format(*key.split("."))
+        for value in ("1000.0000001", "1e308"):
+            with pytest.raises(ConfigError, match=rf"{re.escape(name)}: .*must be <= 1000"):
+                parse_config_text(text, tmp_path, {key: value})
 
     def test_gate_cap_names_layers_before_building(self, tmp_path, monkeypatch):
         monkeypatch.setattr("qnes.ansatz.AnsatzSpec.build", None)  # the guard must not build
@@ -440,6 +466,21 @@ class TestCli:
         assert main(["run", str(path), "--override", f"ansatz.layers={layers}"]) == 2
         assert time.perf_counter() - start < 1.0
         assert f"[ansatz] layers = {layers}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("override, key", [
+        ("optimizer.walkers=1000000000", "[optimizer] walkers = 1000000000"),
+        ("variance_scan.walker_counts=1000000000", "[variance_scan] walker_counts = 1000000000"),
+        ("optimizer.sigma_init=1e308", "[optimizer] sigma_init"),
+        ("variance_scan.sigma_values=1e308", "[variance_scan] sigma_values"),
+    ])
+    def test_huge_walker_count_or_width_exits_two_at_once(self, tmp_path, capsys, override,
+                                                          key):
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
+        start = time.perf_counter()
+        assert main(["run", str(path), "--override", override]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override, key", [

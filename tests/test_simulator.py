@@ -201,6 +201,12 @@ class TestPerGateReferee:
     @example(with_rows(build_alpqc(9, 1), 17))
     @example(with_rows(build_alpqc(9, 1), 17, varying=(0, 9)))
     @example(with_rows(build_rpqc(13, 1, structure_seed=6), 2))
+    # shared RY and RZ columns (6 RY and 7 RZ slots) on both sides of the rows rule:
+    # one row keeps two multiplies, two or more take the fused phase * coeff vector
+    @example(with_rows(build_rpqc(5, 4, structure_seed=3), 1))
+    @example(with_rows(build_rpqc(5, 4, structure_seed=3), 2, varying=(4, 13)))
+    @example(with_rows(build_rpqc(5, 4, structure_seed=3), 17, varying=(4, 13)))
+    @example(with_rows(build_rpqc(10, 3, structure_seed=8), 16, varying=(2, 15, 27)))
     def test_kernel_matches_per_gate_formula_bit_for_bit(self, case):
         template, rows = case
         assert np.array_equal(run_circuit_batch(template, rows), per_gate_states(template, rows))
@@ -230,6 +236,17 @@ class TestCompiledPlan:
         assert np.array_equal(fixed, np.full(10, np.pi / 4))
         basis = CircuitTemplate(10, template.gates[:10])
         assert np.array_equal(start, dense_unitary(basis, np.zeros(0))[:, 0])
+
+    def test_states_scratch_and_signs_start_on_a_cache_line(self, rng):
+        template = random_template(rng, 6, 40)
+        for b in (1, 3, 16):
+            rows = rng.uniform(b * template.num_params, 0, 2 * np.pi).reshape(b, -1)
+            states = run_circuit_batch(template, rows)
+            arrays = [states, *simulator._scratch((b + 1, 64), 3)]
+            assert all(a.ctypes.data % 64 == 0 for a in arrays)
+        phases = [phase for _, phase, _ in template.plan[0]]
+        phases += [phase for _, _, phase in simulator._terms(MIXED_SUM, 6)]
+        assert all(p.ctypes.data % 64 == 0 for p in phases if p is not None)
 
     def test_rotation_signs_are_one_complex_array_per_qubit(self):
         idx = np.arange(1 << 10)
@@ -512,6 +529,18 @@ class TestBufferRule:
         with simulator._row_buffer(shape):
             assert np.getbufsize() == inside
         assert np.getbufsize() == 8192
+
+    def test_a_call_that_fits_never_sets_the_buffer(self, monkeypatch):
+        sizes, setbufsize = [], np.setbufsize
+        monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or setbufsize(size))
+        template, h = build_rpqc(10, 2, structure_seed=4), PauliSum.build(10, MIXED_TERMS)
+        for b in (1, 8):  # 8 rows of 1024 amplitudes fill the 8192-element buffer exactly
+            rows = np.random.default_rng(b).uniform(0, 2 * np.pi, (b, template.num_params))
+            pauli_expectation_batch(run_circuit_batch(template, rows), h)
+        assert sizes == []
+        rows = np.random.default_rng(9).uniform(0, 2 * np.pi, (9, template.num_params))
+        run_circuit_batch(template, rows)
+        assert sizes == [1024, 8192]
 
     def test_buffer_restored_when_the_block_raises(self):
         with pytest.raises(KeyError):
