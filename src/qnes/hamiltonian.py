@@ -3,7 +3,8 @@
 The energy loss a VQE run minimizes is `gradients.loss_functions(template, h)`.
 `exact_ground_energy(h)` is the reference it is scored against: the lowest
 eigenvalue, found by Lanczos iteration (Lanczos 1950; Paige 1976) that applies H
-through the same compiled term table as the loss (`simulator._terms`). It holds a
+through the loss's own compiled form (`simulator._observable`): the Z-only terms as
+one real diagonal, then one gather per flip mask for that mask's terms. It holds a
 few state-sized vectors and never the 2**Q x 2**Q matrix, so it has no qubit
 ceiling of its own.
 
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .simulator import PauliSum, _terms
+from .simulator import PauliSum, _observable
 
 LANCZOS_MAX_STEPS = 1000
 LANCZOS_RTOL = 1e-13  # relative to sum|coeff|, a bound on the spectral radius
@@ -90,36 +91,38 @@ def exact_ground_energy(h: PauliSum) -> float:
 
     Identity terms are a constant shift. The rest act as sum(coeff * phase * v[perm])
     on a fixed-seed start vector, in real arithmetic when no term has an odd number of
-    Y factors. It stops when the lowest Ritz pair's residual |beta * y_last|, or beta
+    Y factors: the Z-only terms as one diagonal, and each flip mask's terms from one
+    gather of v. It stops when the lowest Ritz pair's residual |beta * y_last|, or beta
     (an invariant subspace), is at most LANCZOS_RTOL * sum|coeff|, and raises
     RuntimeError rather than return a value unconverged after LANCZOS_MAX_STEPS steps.
     """
-    table = _terms(h, h.num_qubits)
-    shift = sum(coeff for coeff, perm, phase in table if perm is None and phase is None)
-    terms = [term for term in table if term[1] is not None or term[2] is not None]
-    if not terms:
+    shift = sum(coeff for coeff, paulis in h.terms if not paulis)
+    if all(not paulis for _, paulis in h.terms):
         return float(shift)
     real = not any(sum(p == "Y" for _, p in paulis) % 2 for _, paulis in h.terms)
-    tol = LANCZOS_RTOL * sum(abs(coeff) for coeff, _, _ in terms)
+    tol = LANCZOS_RTOL * sum(abs(coeff) for coeff, paulis in h.terms if paulis)
     dim = 1 << h.num_qubits
-    diag = sum((coeff * phase.real for coeff, perm, phase in terms if perm is None), np.zeros(dim))
-    flips = [term for term in terms if term[1] is not None]
+    groups = _observable(h, h.num_qubits)
+    diag = sum((coeff * phase.real for perm, members in groups if perm is None
+                for _, coeff, phase in members if phase is not None), np.zeros(dim))
+    flips = [group for group in groups if group[0] is not None]
 
     gen = np.random.default_rng(0)
     v = gen.standard_normal(dim)
     if not real:
         v = v + 1j * gen.standard_normal(dim)
     v /= np.linalg.norm(v)
-    v_prev, w, tmp = np.zeros_like(v), np.empty_like(v), np.empty_like(v)
+    v_prev, w, tmp, flipped = (np.zeros_like(v) for _ in range(4))
     alphas, betas, beta, next_check = [], [], 0.0, 4
     for step in range(1, LANCZOS_MAX_STEPS + 1):
         np.multiply(v, diag, out=w)  # w = H v
-        for coeff, perm, phase in flips:
-            np.take(v, perm, out=tmp, mode="clip")
-            if phase is not None:
-                np.multiply(tmp, phase.real if real else phase, out=tmp)
-            np.multiply(tmp, coeff, out=tmp)
-            np.add(w, tmp, out=w)
+        for perm, members in flips:
+            np.take(v, perm, out=flipped, mode="clip")
+            for _, coeff, phase in members:
+                term = flipped if phase is None else np.multiply(
+                    flipped, phase.real if real else phase, out=tmp)
+                np.multiply(term, coeff, out=tmp)
+                np.add(w, tmp, out=w)
         alpha = np.vdot(v, w).real
         np.subtract(w, np.multiply(v, alpha, out=tmp), out=w)
         np.subtract(w, np.multiply(v_prev, beta, out=tmp), out=w)

@@ -301,6 +301,13 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(f"{key} = {k}: one generation of {k:,} walkers on {p} parameters "
                               f"holds {held / 2**30:.1f} GiB, more than the "
                               f"{memory / 2**30:.1f} GiB of physical memory")
+    # the scan keeps one float per initialization for each cell and for its exact column
+    scan = config.scan
+    held = 8 * scan.num_inits * (len(scan.sigma_values) * len(scan.walker_counts) + 1)
+    if held > memory:
+        raise ConfigError(f"[variance_scan] num_inits = {scan.num_inits}: its values for every "
+                          f"cell and the exact column hold {held / 2**30:.1f} GiB, more than "
+                          f"the {memory / 2**30:.1f} GiB of physical memory")
 
 
 def load_config(path, overrides: dict[str, str] | None = None, seeds=None,

@@ -12,9 +12,10 @@ runs evaluate many parameter vectors of the same circuit at once.
 
 Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
 `template.plan`, the leading fixed gates already run into its start state); a Pauli
-sum into a (coeff, perm, phase) table per state width (`_terms`), which the Lanczos
-ground-energy oracle reads and the observable reads grouped by flip mask
-(`_flip_groups`). The kernel works in place with one state-sized temporary and the
+sum, per state width, into its terms grouped by flip mask (`_observable`), the one
+form that both the observable and the Lanczos ground-energy oracle read: one gather
+per mask serves all of its terms, as a device measures qubit-wise commuting terms
+together. The kernel works in place with one state-sized temporary and the
 observable with three, from per-thread `_scratch`. A rotation's factors are one
 scalar over the whole batch for an angle column that every row shares, and a per-row
 column otherwise; the real cos multiplies the state's float view. The sign vectors
@@ -41,7 +42,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
 
 import numpy as np
@@ -191,28 +192,6 @@ def _cz_sign(num_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     idx = np.arange(1 << num_qubits)
     both = sum(((idx >> q_a) & (idx >> q_b) & 1) for q_a, q_b in pairs)
     return _aligned(idx.size, 1.0 - 2.0 * (both & 1))
-
-
-def _pauli_action(num_qubits: int, paulis) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(perm, phase) with P|psi> = phase * psi[perm]; None stands for an identity part.
-
-    Phases multiply, the Z signs as real vectors, and the product is returned as an
-    aligned complex copy; the first flip's cached permutation is XORed with any further
-    flips.
-    """
-    perm, phase, mask = None, None, 0
-    for q, p in paulis:
-        if p != "Z":
-            if perm is None:
-                perm = _x_permutation(num_qubits, q)
-            else:
-                mask |= 1 << q
-        if p != "X":
-            factor = _z_sign(num_qubits, q) if p == "Z" else _y_factor(num_qubits, q)
-            phase = factor if phase is None else phase * factor
-    if phase is not None:
-        phase = _aligned(phase.shape, phase)
-    return (perm ^ mask if mask else perm), phase
 
 
 class _ScratchStore(threading.local):
@@ -374,19 +353,29 @@ def vacuum_projector_expectation(state: np.ndarray) -> np.ndarray | float:
 
 
 @lru_cache(maxsize=64)
-def _terms(h: PauliSum, num_qubits: int) -> tuple:
-    """(coeff, perm, phase) per term of h, acting on states of num_qubits qubits."""
-    return tuple((coeff, *_pauli_action(num_qubits, paulis)) for coeff, paulis in h.terms)
-
-
-@lru_cache(maxsize=64)
-def _flip_groups(h: PauliSum, num_qubits: int) -> tuple:
-    """The term table grouped by flip mask, in order of first use: (perm, ((index, phase),
-    ...)) per mask, with perm None for the Z-only and identity terms."""
+def _observable(h: PauliSum, num_qubits: int) -> tuple:
+    """h compiled for states of num_qubits qubits: per flip mask, in order of first use,
+    (perm, ((index, coeff, phase), ...)), so that term `index` acts as P|psi> = phase *
+    psi[perm]. perm is None for the Z-only and identity terms, and phase is None for a
+    pure flip. A one-qubit flip is the kernel's `_x_permutation` and a lone Z sign its
+    `_z_phase`; any other phase is the term's Z signs and Y factors multiplied in qubit
+    order, copied aligned."""
     groups = {}
-    for index, ((_, paulis), (_, perm, phase)) in enumerate(zip(h.terms, _terms(h, num_qubits))):
-        mask = sum(1 << q for q, p in paulis if p != "Z")
-        groups.setdefault(mask, (perm, []))[1].append((index, phase))
+    for index, (coeff, paulis) in enumerate(h.terms):
+        flips = [q for q, p in paulis if p != "Z"]
+        signs = [(q, p) for q, p in paulis if p != "X"]
+        mask = sum(1 << q for q in flips)
+        if mask not in groups:
+            perm = _x_permutation(num_qubits, flips[0]) if flips else None
+            groups[mask] = (np.arange(1 << num_qubits) ^ mask if len(flips) > 1 else perm), []
+        if not signs:
+            phase = None
+        elif len(signs) == 1 and signs[0][1] == "Z":
+            phase = _z_phase(num_qubits, signs[0][0])
+        else:
+            phase = _aligned(1 << num_qubits, reduce(np.multiply, [
+                (_z_sign if p == "Z" else _y_factor)(num_qubits, q) for q, p in signs]))
+        groups[mask][1].append((index, coeff, phase))
     return tuple((perm, tuple(members)) for perm, members in groups.values())
 
 
@@ -402,15 +391,13 @@ def pauli_expectation_batch(state: np.ndarray, h: PauliSum) -> np.ndarray:
     conj, phi, prod = _scratch(rows.shape, 3)
     np.conjugate(rows, out=conj)
     with _row_buffer(rows.shape):
-        for perm, members in _flip_groups(h, num_qubits):
+        for perm, members in _observable(h, num_qubits):
             flipped = rows if perm is None else rows.take(perm, axis=-1, out=phi, mode="clip")
             np.multiply(conj, flipped, out=prod)
-            for index, phase in members:
+            for index, coeff, phase in members:
                 term = prod if phase is None else np.multiply(prod, phase, out=phi)
-                values[index] = np.add.reduce(term, axis=-1)
-    total = np.zeros(rows.shape[0], dtype=complex)
-    for (coeff, _), value in zip(h.terms, values):
-        total += coeff * value
+                values[index] = coeff * np.add.reduce(term, axis=-1)
+    total = sum(values, np.zeros(rows.shape[0], dtype=complex))
     residue = np.max(np.abs(total.imag)) if total.size else 0.0
     if residue > IMAG_RESIDUE_TOL:
         raise RuntimeError(f"expectation has imaginary residue {residue:.3e}")

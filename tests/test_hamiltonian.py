@@ -12,7 +12,7 @@ from qnes.hamiltonian import (
     load_pauli_file,
     parse_pauli_file,
 )
-from qnes.simulator import Gate, PauliSum, _terms
+from qnes.simulator import Gate, PauliSum, _observable
 
 
 class TestParsePauliFile:
@@ -98,11 +98,13 @@ def kronecker_sum(h):
 
 
 def term_table_matrix(h):
-    """The compiled term table scattered densely: a term's row i holds coeff * phase[i] at perm[i]."""
+    """The compiled sum scattered densely: a term's row i holds coeff * phase[i] at perm[i].
+    Terms of different flip masks fill different entries, so each entry adds in term order."""
     rows = np.arange(1 << h.num_qubits)
     total = np.zeros((rows.size, rows.size), dtype=complex)
-    for coeff, perm, phase in _terms(h, h.num_qubits):
-        total[rows, rows if perm is None else perm] += coeff if phase is None else coeff * phase
+    for perm, members in _observable(h, h.num_qubits):
+        for _, coeff, phase in members:
+            total[rows, rows if perm is None else perm] += coeff if phase is None else coeff * phase
     return total
 
 
@@ -171,7 +173,7 @@ class TestExactGroundEnergy:
     def test_repeat_call_is_bit_identical(self):
         h = random_sums(7, odd_y=True, per_size=1)[5]
         first = exact_ground_energy(h)
-        _terms.cache_clear()
+        _observable.cache_clear()
         assert exact_ground_energy(h) == first
         assert exact_ground_energy(h) == first
 

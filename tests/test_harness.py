@@ -115,6 +115,19 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=re.escape(f"{name} = {fits + 1}: ")):
                 parse_config_text(text, tmp_path, {key: value.format(fits + 1)})
 
+    def test_scan_values_must_fit_in_physical_memory(self, tmp_path, monkeypatch):
+        # 1 MiB of memory; per initialization, one float for each of the default grid's
+        # 3 * 4 cells and one for the exact column (8 * 13 bytes); nothing is allocated
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr("qnes.harness.os.sysconf", pages.__getitem__)
+        text = STATEPREP_CONFIG.format(out="runs/x")
+        fits = 2**20 // (8 * 13)
+        config = parse_config_text(text, tmp_path, {"variance_scan.num_inits": str(fits)})
+        assert config.scan.num_inits == fits
+        name = re.escape(f"[variance_scan] num_inits = {fits + 1}: ")
+        with pytest.raises(ConfigError, match=name):
+            parse_config_text(text, tmp_path, {"variance_scan.num_inits": str(fits + 1)})
+
     @pytest.mark.parametrize("key", ["optimizer.sigma_init", "variance_scan.sigma_values"])
     def test_widths_have_an_upper_bound(self, tmp_path, key):
         text = STATEPREP_CONFIG.format(out="runs/x")
@@ -471,6 +484,7 @@ class TestCli:
     @pytest.mark.parametrize("override, key", [
         ("optimizer.walkers=1000000000", "[optimizer] walkers = 1000000000"),
         ("variance_scan.walker_counts=1000000000", "[variance_scan] walker_counts = 1000000000"),
+        ("variance_scan.num_inits=1000000000000", "[variance_scan] num_inits = 1000000000000"),
         ("optimizer.sigma_init=1e308", "[optimizer] sigma_init"),
         ("variance_scan.sigma_values=1e308", "[variance_scan] sigma_values"),
     ])

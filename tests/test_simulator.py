@@ -245,7 +245,8 @@ class TestCompiledPlan:
             arrays = [states, *simulator._scratch((b + 1, 64), 3)]
             assert all(a.ctypes.data % 64 == 0 for a in arrays)
         phases = [phase for _, phase, _ in template.plan[0]]
-        phases += [phase for _, _, phase in simulator._terms(MIXED_SUM, 6)]
+        phases += [phase for _, members in simulator._observable(MIXED_SUM, 6)
+                   for _, _, phase in members]
         assert all(p.ctypes.data % 64 == 0 for p in phases if p is not None)
 
     def test_rotation_signs_are_one_complex_array_per_qubit(self):
@@ -513,6 +514,37 @@ class TestObservableReferee:
         assert np.array_equal(pauli_expectation_batch(states, h), per_term_expectations(states, h))
 
 
+class TestCompiledObservable:
+    """`_observable` is a sum's one compiled form: each term once, in its flip mask's group,
+    on the kernel's own cached arrays where a term acts as one gate does."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pauli_sums())
+    @example(sum_case(8, 1, MIXED_TERMS))
+    def test_each_term_once_on_shared_aligned_arrays(self, case):
+        _, h = case
+        n = h.num_qubits
+        groups = simulator._observable(h, n)
+        order = [[index for index, _, _ in members] for _, members in groups]
+        assert sorted(sum(order, [])) == list(range(len(h.terms)))
+        assert all(indices == sorted(indices) for indices in order)  # term order within a mask
+        assert [indices[0] for indices in order] == sorted(indices[0] for indices in order)
+        masks = []
+        for perm, members in groups:
+            (flips,) = {tuple(q for q, p in h.terms[i][1] if p != "Z") for i, _, _ in members}
+            masks.append(flips)
+            if len(flips) == 1:
+                assert perm is simulator._x_permutation(n, flips[0])
+            assert (perm is None) == (not flips)
+            for index, coeff, phase in members:
+                term_coeff, paulis = h.terms[index]
+                assert coeff == term_coeff
+                if [p for _, p in paulis] == ["Z"]:
+                    assert phase is simulator._z_phase(n, paulis[0][0])
+                assert phase is None or phase.ctypes.data % 64 == 0
+        assert len(set(masks)) == len(masks)
+
+
 class TestBufferRule:
     """numpy's ufunc buffer is one row inside a call whose batch is larger than the buffer,
     and is back to what it was after every call, whether it returns or raises."""
@@ -575,13 +607,13 @@ class TestBufferRule:
     def test_buffer_unchanged_after_every_call(self, monkeypatch):
         sizes, states = self.calls_and_bufsizes()
         # a phase of i on |psi|^2 leaves the whole value imaginary
-        monkeypatch.setattr(simulator, "_flip_groups",
-                            lambda h, q: ((None, ((0, np.full(1 << q, 1j)),)),))
+        monkeypatch.setattr(simulator, "_observable",
+                            lambda h, q: ((None, ((0, 1.0, np.full(1 << q, 1j)),)),))
         with pytest.raises(RuntimeError, match="imaginary residue"):
             pauli_expectation_batch(states, PauliSum.build(10, [(1.0, {0: "Z"})]))
         sizes.append(np.getbufsize())
-        monkeypatch.setattr(simulator, "_flip_groups",
-                            lambda h, q: ((None, ((0, np.ones(3, dtype=complex)),)),))
+        monkeypatch.setattr(simulator, "_observable",
+                            lambda h, q: ((None, ((0, 1.0, np.ones(3, dtype=complex)),)),))
         with pytest.raises(ValueError):
             pauli_expectation_batch(states, PauliSum.build(10, [(1.0, {0: "Z"})]))
         sizes.append(np.getbufsize())
@@ -699,4 +731,4 @@ class TestGateValidation:
         ordered = PauliSum(2, ((1.0, ((0, "X"), (1, "Z"))),))
         assert unsorted == ordered
         assert unsorted.terms == ordered.terms
-        assert simulator._terms(unsorted, 2) is simulator._terms(ordered, 2)
+        assert simulator._observable(unsorted, 2) is simulator._observable(ordered, 2)
