@@ -193,11 +193,14 @@ def surrogate_gradient_variance_scan(template, config: VarianceScanConfig,
     surrogate = {combo: np.empty(config.num_inits) for combo in combos}
     variance_exact = analytical_gradient_variance(template, config.observable,
                                                   config.num_inits, rng)
+    block = np.empty((max(config.walker_counts), p))
     for i in range(config.num_inits):
         stream = rng.spawn(i)
         theta = stream.uniform(p, 0.0, 2.0 * np.pi)
         for sigma, k in combos:
-            samples = np.stack([stream.normal(p) for _ in range(k)])
+            samples = block[:k]
+            for row in samples:
+                stream.normal(p, out=row)
             forward = expectation_values(template, theta + sigma * samples, config.observable)
             surrogate[(sigma, k)][i] = (forward @ samples[:, 0]) / (k * sigma)
     return [

@@ -200,10 +200,10 @@ def parse_config_text(text: str, base_dir: Path | None = None,
                   require("ansatz", "qubits", int), require("ansatz", "layers", int),
                   get("ansatz", "structure_seed", "0", _at_least(0)))
     memory = _physical_memory()
-    if spec.num_qubits > math.log2(memory / 16):
-        raise ConfigError(f"[ansatz] qubits = {spec.num_qubits}: one state of 16 * 2**"
-                          f"{spec.num_qubits} bytes exceeds the {memory / 2**30:.1f} GiB of "
-                          "physical memory")
+    if spec.num_qubits > math.log2(memory / 32):
+        raise ConfigError(f"[ansatz] qubits = {spec.num_qubits}: the kernel's state and "
+                          f"temporary, 32 * 2**{spec.num_qubits} bytes, exceed the "
+                          f"{memory / 2**30:.1f} GiB of physical memory")
     if spec.num_gates > MAX_GATES:
         raise ConfigError(f"[ansatz] layers = {spec.num_layers}: the {spec.family} circuit on "
                           f"{spec.num_qubits} qubits has {spec.num_gates:,} gates, more than "

@@ -22,6 +22,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,9 +55,9 @@ class SeparableDistribution:
         self.sigma = np.asarray(self.sigma, dtype=float)
         if self.mu.shape != self.sigma.shape:
             raise ValueError("mu and sigma must have the same shape")
-        if not np.all(np.isfinite(self.mu)):
+        if not np.isfinite(self.mu).all():
             raise ValueError("mu must be finite")
-        if not np.all(self.sigma > 0):
+        if not (self.sigma > 0).all():
             raise ValueError("all sigma components must be positive")
 
     def to_task(self, samples: np.ndarray) -> np.ndarray:
@@ -65,7 +66,7 @@ class SeparableDistribution:
 
     def spread(self) -> float:
         """Stopping statistic: the largest sigma component."""
-        return float(np.max(self.sigma))
+        return float(self.sigma.max())
 
     def step(self, samples: np.ndarray, fitnesses: np.ndarray) -> "SeparableDistribution":
         return snes_step(self, samples, fitnesses)
@@ -85,7 +86,7 @@ class FullDistribution:
         d = self.mu.size
         if self.shape.shape != (d, d):
             raise ValueError("shape matrix must be d x d")
-        if not np.all(np.isfinite(self.mu)) or not np.all(np.isfinite(self.shape)):
+        if not np.isfinite(self.mu).all() or not np.isfinite(self.shape).all():
             raise ValueError("distribution parameters must be finite")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
@@ -105,7 +106,7 @@ class FullDistribution:
     def spread(self) -> float:
         """Stopping statistic: the largest |entry| of the covariance sigma^2 B B^T."""
         cov = self.sigma**2 * (self.shape @ self.shape.T)
-        return float(np.max(np.abs(cov)))
+        return float(np.abs(cov).max())
 
     def step(self, samples: np.ndarray, fitnesses: np.ndarray) -> "FullDistribution":
         return xnes_step(self, samples, fitnesses)
@@ -139,17 +140,20 @@ class NesConfig:
             raise ValueError("max_iterations must be >= 0")
 
 
+@lru_cache(maxsize=64)
 def compute_utilities(k: int) -> np.ndarray:
     """Rank-based utility weights, best rank first; they sum to zero.
 
     u_n = max(0, ln(k/2 + 1) - ln n) / sum_j max(0, ln(k/2 + 1) - ln j) - 1/k
-    for ranks n = 1..k. The bottom floor(k/2) entries are all -1/k.
+    for ranks n = 1..k. The bottom floor(k/2) entries are all -1/k. Cached per k, read-only.
     """
     if k < 2:
         raise ValueError("population must be >= 2 for fitness shaping")
     ranks = np.arange(1, k + 1, dtype=float)
     raw = np.maximum(0.0, np.log(k / 2 + 1.0) - np.log(ranks))
-    return raw / raw.sum() - 1.0 / k
+    utilities = raw / raw.sum() - 1.0 / k
+    utilities.flags.writeable = False
+    return utilities
 
 
 def default_learning_rates(d: int) -> tuple[float, float, float]:
@@ -164,14 +168,16 @@ def sample_walkers(dist, k: int, rng: SeededRng) -> np.ndarray:
     """k local samples (k, d), one independent child stream per walker index."""
     if k < 1:
         raise ValueError("population must be >= 1")
-    d = dist.mu.size
-    return np.stack([rng.stream(n).normal(d) for n in range(k)])
+    samples = np.empty((k, dist.mu.size))
+    for n, row in enumerate(samples):
+        rng.stream(n).normal(row.size, out=row)
+    return samples
 
 
 def _ranked(samples, fitnesses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(utilities, samples best first, utilities @ samples)."""
     fits = np.asarray(fitnesses, dtype=float)
-    if not np.all(np.isfinite(fits)):
+    if not np.isfinite(fits).all():
         raise ValueError("walker fitness values must be finite")
     # ascending fitness = best first (minimization); stable sort breaks ties by walker index
     utilities = compute_utilities(fits.size)
@@ -263,8 +269,10 @@ def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: Se
             active = (iteration - 1) % len(blocks)
             idx = blocks[active][0]
             samples = sample_walkers(dists[active], config.population, rng)
-            points = np.repeat(mu[None, :], config.population, axis=0)
-            points[:, idx] = dists[active].to_task(samples)
+            points = dists[active].to_task(samples)
+            if len(blocks) > 1:  # walkers equal mu outside the block's columns
+                points, block = np.repeat(mu[None, :], config.population, axis=0), points
+                points[:, idx] = block
             fitnesses = _walker_fitnesses(fitness, points, pool, n_workers)
             dist = dists[active] = dists[active].step(samples, fitnesses)
             spreads[active] = dist.spread()

@@ -47,10 +47,10 @@ class SeededRng:
             child = self._children[child_id] = self.spawn(child_id)
         return child
 
-    def normal(self, d: int) -> np.ndarray:
+    def normal(self, d: int, out: np.ndarray | None = None) -> np.ndarray:
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        return self._gen.standard_normal(d)
+        return self._gen.standard_normal(d, out=out)
 
     def uniform(self, d: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         if d < 1:

@@ -15,30 +15,33 @@ Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
 sum, per state width, into its terms grouped by flip mask (`_observable`), the one
 form that both the observable and the Lanczos ground-energy oracle read: one gather
 per mask serves all of its terms, as a device measures qubit-wise commuting terms
-together. The kernel works in place with one state-sized temporary and the
-observable with three, from per-thread `_scratch`. A rotation's factors are one
-scalar over the whole batch for an angle column that every row shares, and a per-row
-column otherwise; the real cos multiplies the state's float view. The sign vectors
-the hot loops multiply by (the RY/RZ z signs, the CZ-run signs and the observable's
-phases) are cached complex, so numpy casts none of them per call.
+together. The kernel runs in place on a fresh (2, B, 2**Q) pair block, the state and
+its temporary; it returns the first half, so a held state keeps its temporary alive.
+The observable takes three temporaries from per-thread `_scratch`. A rotation's factors
+are one scalar over the whole batch for an angle column that every row shares, and one
+multiply of the pair by a (2, B, 1) [cos; coefficient] block for a column whose rows
+differ. The sign vectors the hot loops multiply by (the RY/RZ z signs, the CZ-run signs
+and the observable's phases) are cached complex, so numpy casts none of them per call.
 
 For two or more rows, an RY or RZ on a shared column multiplies once by one fused
 vector, its z signs times the scalar coefficient, which is exact because the signs are
 +-1 (the fused rule); with one row, building that vector costs the pass it saves (the
-rows rule). The states `run_circuit_batch` returns, the per-thread scratch and the
-cached sign vectors start on a 64-byte cache line (`_aligned`): a pass over operands at
-different 16-byte offsets of a 32-byte span ran 10-15% slower (10 qubits, 16 rows), and
-numpy aligns only to 16 bytes.
+rows rule). The pair blocks, the per-thread scratch and the cached sign vectors start
+on a 64-byte cache line (`_aligned`): a pass over operands at different 16-byte offsets
+of a 32-byte span ran 10-15% slower (10 qubits, 16 rows), and numpy aligns only to 16.
 
-One buffer rule: numpy copies an operand that broadcasts per row, or needs a cast,
-through its ufunc buffer (8192 elements by default) when a row is shorter than that
-buffer but the batch is longer. `_row_buffer` lowers the buffer to one row for the
-kernel's sweep and the observable's term loop. Each product and sum is still rounded
-per element and each row reduced whole, so no bit changes.
+One buffer rule: numpy copies an operand that broadcasts per row through its ufunc
+buffer (8192 elements by default) when two or more rows are shorter than that buffer.
+`_row_buffer` lowers the buffer to one row for the kernel's sweep and the observable's
+term loop when a call has two or more rows of 128 to 8191 amplitudes: there the per-row
+multiplies ran 1.2-2.9x slower through the copy, batches that fit the buffer included,
+while rows of 32-64 amplitudes gained nothing or lost. Each product and sum is still
+rounded per element and each row reduced whole, so no bit changes.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -145,7 +148,7 @@ def _aligned(shape, values=None) -> np.ndarray:
     """A complex array of `shape`, set to `values` if given, whose data starts on a 64-byte
     cache line: numpy aligns only to 16 bytes, so over-allocate 3 amplitudes and start at
     the boundary."""
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     buffer = np.empty(size + 3, dtype=complex)
     lead = -buffer.ctypes.data // 16 % 4
     array = buffer[lead:lead + size].reshape(shape)
@@ -182,7 +185,7 @@ def _z_sign(num_qubits: int, qubit: int) -> np.ndarray:
 @lru_cache(maxsize=512)
 def _z_phase(num_qubits: int, qubit: int) -> np.ndarray:
     """The z sign vector as complex: the phase of every RY and RZ op on `qubit`."""
-    return _aligned(1 << num_qubits, _z_sign(num_qubits, qubit))
+    return _aligned((1 << num_qubits,), _z_sign(num_qubits, qubit))
 
 
 @lru_cache(maxsize=512)
@@ -191,7 +194,7 @@ def _cz_sign(num_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     both bits set."""
     idx = np.arange(1 << num_qubits)
     both = sum(((idx >> q_a) & (idx >> q_b) & 1) for q_a, q_b in pairs)
-    return _aligned(idx.size, 1.0 - 2.0 * (both & 1))
+    return _aligned(idx.shape, 1.0 - 2.0 * (both & 1))
 
 
 class _ScratchStore(threading.local):
@@ -223,15 +226,12 @@ _UNCHANGED = nullcontext()
 
 
 def _row_buffer(shape: tuple[int, int]):
-    """A context that lowers numpy's ufunc buffer to one row (a multiple of 16) when the
-    (rows, width) batch holds more amplitudes than the buffer and a row fewer, and restores
-    it on the way out, exceptions included. Any other batch gets one shared no-op context,
-    decided before entering, so a call that changes nothing pays for nothing."""
+    """A context that lowers numpy's ufunc buffer to one row for a (rows, width) call of two
+    or more rows of 128 amplitudes up to the buffer's length less one (measured: rows of 32
+    to 64 gain nothing), and restores it on the way out, exceptions included. Any other call
+    gets one shared no-op context, decided before entering, so it pays for nothing."""
     rows, width = shape
-    size, limit = max(width, 16), np.getbufsize()
-    if rows * width <= limit or size >= limit:
-        return _UNCHANGED
-    return _lowered_buffer(size)
+    return _lowered_buffer(width) if rows > 1 and 128 <= width < np.getbufsize() else _UNCHANGED
 
 
 @contextmanager
@@ -243,36 +243,37 @@ def _lowered_buffer(size: int):
         np.setbufsize(previous)
 
 
-def _sweep(state, ops, angles, scratch) -> None:
-    """Apply `ops` in place to the (B, 2**Q) `state` at the (B, C) `angles`, under
-    `_row_buffer`; `scratch` is (B + 1, 2**Q): the B-row temporary and the fused row. A
-    column's cos and coefficient (-i sin, or -sin from the second block) are (B, 1) blocks
-    where rows differ and row 0's scalars where every row shares the angle (fixed angles
-    always do); the real cos multiplies the float view, and each phase is a cached complex
-    vector. Each factor is pure real or pure imaginary, so every form rounds the same
-    products.
+def _sweep(pair, ops, angles, fused) -> None:
+    """Apply `ops` in place to the (B, 2**Q) state pair[0] at the (B, C) `angles`, under
+    `_row_buffer`; pair[1] is its temporary. A column every row shares (fixed angles always
+    do) multiplies by row 0's scalars: cos the state's float view, the coefficient (-i sin,
+    or -sin from the table's second half) the temporary. A column whose rows differ ends
+    with one `pair *=` its (2, B, 1) [cos; coefficient] block; the blocks are built for such
+    ops only, in op order. Each factor is pure real or pure imaginary, so every form rounds
+    the same products up to the sign of a zero.
 
-    Fused rule: on a shared column, RY and RZ multiply once by the fused row, phase *
-    coeff, instead of by the phase and then by the coefficient. The phase is +-1, so the
-    fused row is exact, and each part is the same one rounded product up to the sign of
-    a zero. Rows rule: only with two or more rows; with one, building the fused row costs
-    the pass it saves."""
-    half = 0.5 * angles.T[:, :, None]
-    sin = np.sin(half)
-    cos, coeff = np.cos(half), np.concatenate([-1j * sin, -sin])
+    Fused rule: with two or more rows (the rows rule), a shared RY or RZ multiplies once by
+    the `fused` row, phase * coeff, exact since the phase is +-1; with one row, building
+    it costs the pass it saves."""
+    (state, tmp), rows = pair, len(angles)
     shared = (angles == angles[:1]).all(axis=0).tolist()
-    tables = (cos, coeff), (cos[:, 0, 0], coeff[:, 0, 0])
-    fuse = len(state) > 1
-    tmp, fused = scratch[:-1], scratch[-1]
-    parts = state.view(float)
+    sin = np.sin(0.5 * angles[0])
+    cos, coeff = np.cos(0.5 * angles[0]), np.concatenate([-1j * sin, -sin])
+    factors = ()
+    if rows > 1:
+        columns = np.array([c for _, _, c in ops if c is not None and not shared[c]], dtype=int)
+        half = 0.5 * angles[:, columns].T[:, :, None]
+        factors = np.empty((columns.size, 2, rows, 1), dtype=complex)
+        factors[:, 0], sin = np.cos(half), np.sin(half)
+        factors[:, 1] = np.where(columns[:, None, None] < 0, -sin, -1j * sin)
+    factors, parts = iter(factors), state.view(float)
     with _row_buffer(state.shape):
         for perm, phase, column in ops:
             if column is None:
                 state *= phase
                 continue
-            cos_of, coeff_of = tables[shared[column]]
-            scale = coeff_of[column]
-            if fuse and shared[column] and phase is not None:
+            scale = coeff[column] if shared[column] else None
+            if rows > 1 and scale is not None and phase is not None:
                 phase, scale = np.multiply(phase, scale, out=fused), None
             if perm is None:
                 np.multiply(state, phase, out=tmp)
@@ -280,9 +281,12 @@ def _sweep(state, ops, angles, scratch) -> None:
                 state.take(perm, axis=1, out=tmp, mode="clip")
                 if phase is not None:
                     tmp *= phase
-            parts *= cos_of[column]
-            if scale is not None:
-                tmp *= scale
+            if not shared[column]:
+                pair *= next(factors)
+            else:
+                parts *= cos[column]
+                if scale is not None:
+                    tmp *= scale
             state += tmp
 
 
@@ -315,14 +319,16 @@ def compile_circuit(template) -> tuple[tuple, np.ndarray, np.ndarray]:
             if gate.kind == "RY":  # Y|psi> = -i z psi[perm] for the sign vector z
                 column -= width
             ops.append((perm, phase, column))
-    start = zero_state(n, batch=1)
+    pair = np.array([zero_state(n, batch=1)] * 2)
     angles = np.array([[0.0] * template.num_params + fixed])
-    _sweep(start, ops[:lead], angles, np.empty((2, start.shape[1]), dtype=complex))
-    return tuple(ops[lead:]), angles[0, template.num_params:], start[0]
+    _sweep(pair, ops[:lead], angles, None)
+    return tuple(ops[lead:]), angles[0, template.num_params:], pair[0, 0]
 
 
 def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
-    """Evaluate the circuit on every parameter row; returns states of shape (B, 2**Q)."""
+    """Evaluate the circuit on every parameter row; returns states of shape (B, 2**Q), the
+    first half of a fresh (2, B, 2**Q) block whose second half was the sweep's temporary, so
+    a held state keeps that temporary alive."""
     param_rows = np.asarray(param_rows, dtype=float)
     if param_rows.ndim != 2 or param_rows.shape[1] != template.num_params or not len(param_rows):
         raise ValueError(f"expected one or more rows of {template.num_params} parameters, "
@@ -330,14 +336,16 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
     if not np.isfinite(param_rows).all():
         raise ValueError("parameter rows must be finite")
     ops, fixed, start = template.plan
-    b = param_rows.shape[0]
-    state = _aligned((b, start.size), start)
-    angles = np.hstack([param_rows, np.broadcast_to(fixed, (b, fixed.size))])
-    _sweep(state, ops, angles, *_scratch((b + 1, start.size), 1))
-    drift = np.max(np.abs(norm_squared(state) - 1.0))
+    b, p = param_rows.shape
+    pair = _aligned((2, b, start.size))
+    pair[0] = start
+    angles = np.empty((b, p + fixed.size))
+    angles[:, :p], angles[:, p:] = param_rows, fixed
+    _sweep(pair, ops, angles, _scratch((1, start.size), 1)[0][0])
+    drift = np.abs(norm_squared(pair[0]) - 1.0).max()
     if not drift <= NORM_TOL:
         raise RuntimeError(f"statevector norm drifted by {drift:.3e}")
-    return state
+    return pair[0]
 
 
 def run_circuit(template, params: np.ndarray) -> np.ndarray:
@@ -373,7 +381,7 @@ def _observable(h: PauliSum, num_qubits: int) -> tuple:
         elif len(signs) == 1 and signs[0][1] == "Z":
             phase = _z_phase(num_qubits, signs[0][0])
         else:
-            phase = _aligned(1 << num_qubits, reduce(np.multiply, [
+            phase = _aligned((1 << num_qubits,), reduce(np.multiply, [
                 (_z_sign if p == "Z" else _y_factor)(num_qubits, q) for q, p in signs]))
         groups[mask][1].append((index, coeff, phase))
     return tuple((perm, tuple(members)) for perm, members in groups.values())

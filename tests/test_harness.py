@@ -92,14 +92,14 @@ class TestConfigParsing:
             parse_config_text(text, base_dir=tmp_path)
 
     def test_state_must_fit_in_physical_memory(self, tmp_path, monkeypatch):
-        # 1 MiB of memory holds one 16-qubit state (16 * 2**16 bytes); nothing is allocated
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
-        monkeypatch.setattr("qnes.harness.os.sysconf", pages.__getitem__)
+        # the kernel holds a state and its temporary, 32 * 2**Q bytes: 1 MiB fits 15 qubits
+        # and not 16; nothing is allocated
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2**20)
         text = STATEPREP_CONFIG.format(out="runs/x")
-        config = parse_config_text(text, tmp_path, {"ansatz.qubits": "16"})
-        assert config.template.num_qubits == 16
-        with pytest.raises(ConfigError, match=r"\[ansatz\] qubits = 17"):
-            parse_config_text(text, tmp_path, {"ansatz.qubits": "17"})
+        config = parse_config_text(text, tmp_path, {"ansatz.qubits": "15"})
+        assert config.template.num_qubits == 15
+        with pytest.raises(ConfigError, match=r"\[ansatz\] qubits = 16: .* 32 \* 2\*\*16 bytes"):
+            parse_config_text(text, tmp_path, {"ansatz.qubits": "16"})
 
     def test_walkers_must_fit_in_physical_memory(self, tmp_path, monkeypatch):
         # 1 MiB of memory; per walker: the 6-parameter sample and point rows (16 * 6 bytes),

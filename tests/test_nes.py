@@ -43,6 +43,12 @@ class TestUtilities:
         with pytest.raises(ValueError, match="population"):
             compute_utilities(1)
 
+    def test_one_shared_read_only_array_per_k(self):
+        u = compute_utilities(6)
+        assert compute_utilities(6) is u
+        with pytest.raises(ValueError, match="read-only"):
+            u[0] = 0.0
+
 
 class TestLearningRates:
     def test_d1(self):
@@ -93,6 +99,8 @@ class TestSampling:
         b = sample_walkers(dist, 4, SeededRng(5))
         assert np.array_equal(a, b)
         assert np.array_equal(dist.to_task(a), dist.to_task(b))
+        replay = SeededRng(5)
+        assert np.array_equal(a, [replay.stream(n).normal(3) for n in range(4)])
 
     def test_walker_streams_advance_between_iterations(self):
         dist = SeparableDistribution(np.zeros(3), np.ones(3))

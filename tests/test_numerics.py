@@ -21,6 +21,12 @@ class TestSeededRng:
         for x, y in zip(first, second):
             assert np.array_equal(x, y)
 
+    def test_draws_into_a_given_row(self):
+        block = np.zeros((2, 3))
+        SeededRng(7).normal(3, out=block[1])
+        assert np.array_equal(block[1], SeededRng(7).normal(3))
+        assert not block[0].any()
+
     def test_distinct_streams_differ(self):
         a = SeededRng(7, stream_id=0).normal(8)
         b = SeededRng(7, stream_id=1).normal(8)

@@ -207,6 +207,18 @@ class TestPerGateReferee:
     @example(with_rows(build_rpqc(5, 4, structure_seed=3), 2, varying=(4, 13)))
     @example(with_rows(build_rpqc(5, 4, structure_seed=3), 17, varying=(4, 13)))
     @example(with_rows(build_rpqc(10, 3, structure_seed=8), 16, varying=(2, 15, 27)))
+    # varying RX, RY and RZ columns beside shared ones, which multiply state and temporary
+    # as one pair; rows of 64 amplitudes keep numpy's buffer, rows of 128 and up get one row
+    @example(with_rows(build_rpqc(6, 3, structure_seed=1), 2, varying=(1, 5, 6)))
+    @example(with_rows(build_rpqc(6, 3, structure_seed=1), 16, varying=(1, 5, 6)))
+    @example(with_rows(build_rpqc(7, 3, structure_seed=2), 2, varying=(0, 1, 7)))
+    @example(with_rows(build_rpqc(7, 3, structure_seed=2), 17, varying=(0, 1, 7)))
+    @example(with_rows(build_rpqc(10, 2, structure_seed=4), 1, varying=(2, 3, 9)))
+    @example(with_rows(build_rpqc(10, 2, structure_seed=4), 5, varying=(2, 3, 9)))
+    @example(with_rows(build_rpqc(10, 2, structure_seed=4), 17, varying=(2, 3, 9)))
+    @example(with_rows(build_rpqc(12, 1, structure_seed=6), 1))
+    @example(with_rows(build_rpqc(12, 1, structure_seed=6), 2, varying=(0, 1, 7)))
+    @example(with_rows(build_rpqc(12, 1, structure_seed=6), 16, varying=(0, 1, 7)))
     def test_kernel_matches_per_gate_formula_bit_for_bit(self, case):
         template, rows = case
         assert np.array_equal(run_circuit_batch(template, rows), per_gate_states(template, rows))
@@ -248,6 +260,14 @@ class TestCompiledPlan:
         phases += [phase for _, members in simulator._observable(MIXED_SUM, 6)
                    for _, _, phase in members]
         assert all(p.ctypes.data % 64 == 0 for p in phases if p is not None)
+
+    def test_each_call_returns_its_own_aligned_state(self, rng):
+        template = random_template(rng, 6, 40)
+        for b in (1, 16):
+            rows = rng.uniform(b * template.num_params, 0, 2 * np.pi).reshape(b, -1)
+            first, second = run_circuit_batch(template, rows), run_circuit_batch(template, rows)
+            assert not np.shares_memory(first, second)
+            assert first.ctypes.data % 64 == 0 and second.ctypes.data % 64 == 0
 
     def test_rotation_signs_are_one_complex_array_per_qubit(self):
         idx = np.arange(1 << 10)
@@ -546,16 +566,19 @@ class TestCompiledObservable:
 
 
 class TestBufferRule:
-    """numpy's ufunc buffer is one row inside a call whose batch is larger than the buffer,
-    and is back to what it was after every call, whether it returns or raises."""
+    """numpy's ufunc buffer is one row inside a call of two or more rows of 128 to 8,191
+    amplitudes, and is back to what it was after every call, whether it returns or raises."""
 
     @pytest.mark.parametrize("shape, inside", [
-        ((8, 1024), 8192),     # fits: untouched
-        ((9, 1024), 1024),     # 9216 amplitudes: one row
+        ((16, 64), 8192),      # rows of 64 amplitudes: untouched
+        ((2, 1024), 1024),     # two rows that fit the buffer: one row
         ((17, 512), 512),
-        ((3000, 4), 16),       # never below 16
+        ((3000, 4), 8192),     # rows of 4 amplitudes: untouched
         ((2, 8192), 8192),     # a row as long as the buffer: untouched
         ((2, 16384), 8192),
+        ((2, 128), 128),       # the shortest row it lowers to
+        ((1, 4096), 8192),     # one row: untouched
+        ((2, 4096), 4096),
     ])
     def test_buffer_inside_the_rule(self, shape, inside):
         with simulator._row_buffer(shape):
@@ -565,14 +588,14 @@ class TestBufferRule:
     def test_a_call_that_fits_never_sets_the_buffer(self, monkeypatch):
         sizes, setbufsize = [], np.setbufsize
         monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or setbufsize(size))
-        template, h = build_rpqc(10, 2, structure_seed=4), PauliSum.build(10, MIXED_TERMS)
-        for b in (1, 8):  # 8 rows of 1024 amplitudes fill the 8192-element buffer exactly
+        for q, b in ((6, 16), (10, 1)):  # rows of 64 amplitudes, and one row of 1024
+            template, h = build_rpqc(q, 2, structure_seed=4), PauliSum.build(q, MIXED_TERMS[:4])
             rows = np.random.default_rng(b).uniform(0, 2 * np.pi, (b, template.num_params))
             pauli_expectation_batch(run_circuit_batch(template, rows), h)
         assert sizes == []
-        rows = np.random.default_rng(9).uniform(0, 2 * np.pi, (9, template.num_params))
-        run_circuit_batch(template, rows)
-        assert sizes == [1024, 8192]
+        rows = np.random.default_rng(2).uniform(0, 2 * np.pi, (2, template.num_params))
+        pauli_expectation_batch(run_circuit_batch(template, rows), h)
+        assert sizes == [1024, 8192] * 2
 
     def test_buffer_restored_when_the_block_raises(self):
         with pytest.raises(KeyError):
@@ -586,7 +609,7 @@ class TestBufferRule:
         loop (norm drift, imaginary residue) and inside it; the buffer size after each."""
         template = build_rpqc(10, 2, structure_seed=4)
         sizes = []
-        for b in (4, 16):
+        for b in (1, 16):
             rows = np.random.default_rng(b).uniform(0, 2 * np.pi, (b, template.num_params))
             states = run_circuit_batch(template, rows)
             sizes.append(np.getbufsize())
