@@ -141,7 +141,8 @@ def exact_ground_energy(h: PauliSum) -> float:
 
 
 def bundled_hamiltonian_path(name: str = "h2") -> Path:
-    """Path of a Pauli-sum file shipped with the package."""
-    path = resources.files("qnes").joinpath(f"data/{name}.txt")
+    """Path of a Pauli-sum file shipped with the package, found through the name this
+    package was loaded under, so a copy imported under another name reads its own data."""
+    path = resources.files(__package__).joinpath(f"data/{name}.txt")
     with resources.as_file(path) as concrete:
         return Path(concrete)

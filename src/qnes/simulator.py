@@ -15,9 +15,10 @@ Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
 sum, per state width, into its terms grouped by flip mask (`_observable`), the one
 form that both the observable and the Lanczos ground-energy oracle read: one gather
 per mask serves all of its terms, as a device measures qubit-wise commuting terms
-together. The kernel runs in place on a fresh (2, B, 2**Q) pair block, the state and
-its temporary; it returns the first half, so a held state keeps its temporary alive.
-The observable takes three temporaries from per-thread `_scratch`. A rotation's factors
+together. Every call allocates its own temporaries and holds none after it returns, so
+threads share no buffer. The kernel runs in place on a fresh (2, B, 2**Q) pair block, the
+state and its temporary; it returns the first half, so a held state keeps its temporary
+alive. The observable allocates one (3, B, 2**Q) block for its three. A rotation's factors
 are one scalar over the whole batch for an angle column that every row shares, and one
 multiply of the pair by a (2, B, 1) [cos; coefficient] block for a column whose rows
 differ. The sign vectors the hot loops multiply by (the RY/RZ z signs, the CZ-run signs
@@ -26,9 +27,9 @@ and the observable's phases) are cached complex, so numpy casts none of them per
 For two or more rows, an RY or RZ on a shared column multiplies once by one fused
 vector, its z signs times the scalar coefficient, which is exact because the signs are
 +-1 (the fused rule); with one row, building that vector costs the pass it saves (the
-rows rule). The pair blocks, the per-thread scratch and the cached sign vectors start
-on a 64-byte cache line (`_aligned`): a pass over operands at different 16-byte offsets
-of a 32-byte span ran 10-15% slower (10 qubits, 16 rows), and numpy aligns only to 16.
+rows rule). The pair blocks, the temporaries and the cached sign vectors start on a
+64-byte cache line (`_aligned`): a pass over operands at different 16-byte offsets of
+a 32-byte span ran 10-15% slower (10 qubits, 16 rows), and numpy aligns only to 16.
 
 One buffer rule: numpy copies an operand that broadcasts per row through its ufunc
 buffer (8192 elements by default) when two or more rows are shorter than that buffer.
@@ -42,7 +43,6 @@ rounded per element and each row reduced whole, so no bit changes.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -197,31 +197,6 @@ def _cz_sign(num_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     return _aligned(idx.shape, 1.0 - 2.0 * (both & 1))
 
 
-class _ScratchStore(threading.local):
-    def __init__(self):
-        self.by_width = {}
-
-
-_SCRATCH = _ScratchStore()
-
-
-def _scratch(shape: tuple[int, int], count: int) -> tuple[np.ndarray, ...]:
-    """`count` complex arrays of `shape` (rows, width) that this thread reuses across calls.
-
-    Each thread holds one block per state width, grown to the largest row and array
-    counts it has been asked for; the arrays are its leading rows. Reusing them keeps
-    the hot loop off the allocator: a freshly allocated 256 KiB temporary per call
-    can cost a page fault per 4 KiB page.
-    """
-    rows, width = shape
-    block = _SCRATCH.by_width.get(width)
-    if block is None or block.shape[0] < count or block.shape[1] < rows:
-        held = (0, 0) if block is None else block.shape[:2]
-        block = _aligned((max(count, held[0]), max(rows, held[1]), width))
-        _SCRATCH.by_width[width] = block
-    return tuple(block[i, :rows] for i in range(count))
-
-
 _UNCHANGED = nullcontext()
 
 
@@ -243,7 +218,7 @@ def _lowered_buffer(size: int):
         np.setbufsize(previous)
 
 
-def _sweep(pair, ops, angles, fused) -> None:
+def _sweep(pair, ops, angles) -> None:
     """Apply `ops` in place to the (B, 2**Q) state pair[0] at the (B, C) `angles`, under
     `_row_buffer`; pair[1] is its temporary. A column every row shares (fixed angles always
     do) multiplies by row 0's scalars: cos the state's float view, the coefficient (-i sin,
@@ -253,14 +228,15 @@ def _sweep(pair, ops, angles, fused) -> None:
     the same products up to the sign of a zero.
 
     Fused rule: with two or more rows (the rows rule), a shared RY or RZ multiplies once by
-    the `fused` row, phase * coeff, exact since the phase is +-1; with one row, building
-    it costs the pass it saves."""
+    a fused row, phase * coeff, exact since the phase is +-1; with one row, building it
+    costs the pass it saves, so only a multi-row call allocates that row."""
     (state, tmp), rows = pair, len(angles)
     shared = (angles == angles[:1]).all(axis=0).tolist()
     sin = np.sin(0.5 * angles[0])
     cos, coeff = np.cos(0.5 * angles[0]), np.concatenate([-1j * sin, -sin])
     factors = ()
     if rows > 1:
+        fused = _aligned(state.shape[1:])
         columns = np.array([c for _, _, c in ops if c is not None and not shared[c]], dtype=int)
         half = 0.5 * angles[:, columns].T[:, :, None]
         factors = np.empty((columns.size, 2, rows, 1), dtype=complex)
@@ -321,7 +297,7 @@ def compile_circuit(template) -> tuple[tuple, np.ndarray, np.ndarray]:
             ops.append((perm, phase, column))
     pair = np.array([zero_state(n, batch=1)] * 2)
     angles = np.array([[0.0] * template.num_params + fixed])
-    _sweep(pair, ops[:lead], angles, None)
+    _sweep(pair, ops[:lead], angles)
     return tuple(ops[lead:]), angles[0, template.num_params:], pair[0, 0]
 
 
@@ -341,7 +317,7 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
     pair[0] = start
     angles = np.empty((b, p + fixed.size))
     angles[:, :p], angles[:, p:] = param_rows, fixed
-    _sweep(pair, ops, angles, _scratch((1, start.size), 1)[0][0])
+    _sweep(pair, ops, angles)
     drift = np.abs(norm_squared(pair[0]) - 1.0).max()
     if not drift <= NORM_TOL:
         raise RuntimeError(f"statevector norm drifted by {drift:.3e}")
@@ -396,7 +372,7 @@ def pauli_expectation_batch(state: np.ndarray, h: PauliSum) -> np.ndarray:
     if num_qubits < h.num_qubits:
         raise ValueError("observable acts on more qubits than the state has")
     values = [None] * len(h.terms)
-    conj, phi, prod = _scratch(rows.shape, 3)
+    conj, phi, prod = _aligned((3, *rows.shape))
     np.conjugate(rows, out=conj)
     with _row_buffer(rows.shape):
         for perm, members in _observable(h, num_qubits):

@@ -1,8 +1,15 @@
+import importlib
+import importlib.util
+import shutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import dense_pauli_string, random_template
 
+import qnes
 from qnes.ansatz import CircuitTemplate
 from qnes.gradients import loss_functions
 from qnes import hamiltonian
@@ -251,3 +258,21 @@ class TestBundledFile:
             + coeffs["xx"] * np.kron(x, x)
         )
         assert np.isclose(energy, np.linalg.eigvalsh(m)[0], atol=1e-12)
+
+    def test_found_through_a_copy_loaded_under_another_name(self, tmp_path):
+        package = tmp_path / "qnes_copy"
+        shutil.copytree(Path(qnes.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        spec = importlib.util.spec_from_file_location(package.name, package / "__init__.py",
+                                                      submodule_search_locations=[str(package)])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[package.name] = module
+        try:
+            spec.loader.exec_module(module)
+            copy = importlib.import_module(f"{package.name}.hamiltonian")
+            path = copy.bundled_hamiltonian_path("h2")
+        finally:
+            for name in [n for n in sys.modules if n.split(".")[0] == package.name]:
+                del sys.modules[name]
+        assert path.resolve().is_relative_to(package.resolve())
+        assert load_pauli_file(path) == load_pauli_file(bundled_hamiltonian_path("h2"))

@@ -49,9 +49,8 @@ def load_tree(src: Path, side: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    parts = {part: importlib.import_module(f"{name}.{part}")
-             for part in ("ansatz", "harness", "simulator")}
-    return {"package": module, **parts}
+    return {part: importlib.import_module(f"{name}.{part}")
+            for part in ("ansatz", "harness", "simulator")}
 
 
 def case_rows(rng, num_params: int, b: int, varying: int) -> np.ndarray:
@@ -104,7 +103,6 @@ def config_case(trees, path: Path, overrides: dict, pairs: int, work: Path) -> b
     for i in range(pairs):
         for s in SIDES[::1 if i % 2 else -1]:
             harness = trees[s]["harness"]
-            sys.modules["qnes"] = trees[s]["package"]  # bundled data files are found through it
             out = work / f"{path.stem}-{s}-{i}"
             config = harness.load_config(path, overrides, out_dir=out)
             start = time.perf_counter()
