@@ -16,12 +16,13 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .ansatz import MAX_GATES, AnsatzSpec, CircuitTemplate, template_to_text
-from .batching import PartitionStrategy, batch_optimize, make_partition
+from .ansatz import MAX_GATES, MIN_SIZE, AnsatzSpec, CircuitTemplate, template_to_text
+from .batching import STRATEGY_KINDS, PartitionStrategy, batch_optimize, make_partition
 from .gradients import (
     GdConfig,
     VarianceScanConfig,
@@ -86,66 +87,116 @@ class ExperimentConfig:
     echo: dict
 
 
-def _parse_angle_token(token: str) -> float:
-    if token == "pi":
-        return math.pi
-    if token.startswith("pi/"):
-        return math.pi / float(token[3:])
-    return float(token)
+def _angle(token: str) -> float:
+    """A float, ``pi`` or ``pi/x``."""
+    head, slash, divisor = token.partition("/")
+    return math.pi / float(divisor if slash else 1) if head == "pi" else float(token)
 
 
-def _at_least(low, kind=int):
-    """Cast to `kind`, then require a finite value >= low."""
-    def cast(value):
-        number = kind(value)
-        if not (math.isfinite(number) and number >= low):
-            raise ValueError(f"must be finite and >= {low}")
-        return number
-    return cast
+class Key(NamedTuple):
+    """One config key: the text it reads when unset, its type and its bounds.
+
+    `default` is that text, REQUIRED, or None (the value is None). `kind` is a tuple of
+    choices, `Path` (non-empty text) or a number cast, `int`, `float` or `_angle`: each
+    number must be finite, >= `low` (> `low` if `above`) and <= `high`. `many` reads
+    one or more distinct numbers, one per whitespace-separated token.
+    """
+
+    default: object
+    kind: object
+    low: float = -math.inf
+    high: float = math.inf
+    above: bool = False
+    many: bool = False
 
 
-def _positive(value) -> float:
-    number = float(value)
-    if not (math.isfinite(number) and number > 0):
-        raise ValueError("must be finite and > 0")
+REQUIRED = object()
+
+# Every key a config may set; the [ansatz] family's minimum qubits and layers are AnsatzSpec's.
+KEYS = {
+    ("experiment", "kind"): Key(REQUIRED, EXPERIMENT_KINDS),
+    ("experiment", "seeds"): Key(REQUIRED, int, low=0, many=True),
+    ("experiment", "max_iterations"): Key("500", int, low=0),
+    ("experiment", "out"): Key("runs/out", Path),
+    ("ansatz", "family"): Key(REQUIRED, tuple(MIN_SIZE)),
+    ("ansatz", "qubits"): Key(REQUIRED, int),
+    ("ansatz", "layers"): Key(REQUIRED, int),
+    ("ansatz", "structure_seed"): Key("0", int, low=0),
+    ("optimizer", "kind"): Key("snes", OPTIMIZER_KINDS),
+    ("optimizer", "sigma_init"): Key("0.1", float, 0, MAX_WIDTH, above=True),
+    ("optimizer", "workers"): Key("0", int, low=0),
+    ("optimizer", "walkers"): Key("16", int, low=2),  # rank-based fitness shaping needs two
+    ("optimizer", "stop_threshold"): Key("1e-8", float, low=0),
+    ("gradient_descent", "learning_rate"): Key(None, float, 0, above=True),
+    ("gradient_descent", "max_iterations"): Key(None, int, low=0),
+    ("gradient_descent", "tolerance"): Key("1e-8", float, low=0),
+    ("batch", "strategy"): Key("random", STRATEGY_KINDS),
+    ("batch", "size"): Key(None, int, low=1),
+    ("variance_scan", "num_inits"): Key("500", int, low=2),
+    ("variance_scan", "sigma_values"): Key("pi/8 pi/16 pi/32", _angle, 0, MAX_WIDTH,
+                                           above=True, many=True),
+    ("variance_scan", "walker_counts"): Key("1 2 4 8", int, low=1, many=True),
+    ("hybrid", "warmup"): Key("5", int, low=0),
+    ("vqe", "hamiltonian"): Key(None, Path),  # a file relative to the config, or bundled:NAME
+}
+
+
+def _number(key: Key, token: str):
+    number = key.kind(token)
+    # math.isfinite raises OverflowError for an int beyond the float range
+    if not (math.isfinite(number) and (number > key.low if key.above else number >= key.low)):
+        raise ValueError(f"must be finite and {'>' if key.above else '>='} {key.low:g}")
+    if number > key.high:
+        raise ValueError(f"must be <= {key.high:g}")
     return number
 
 
-def _width(value) -> float:
-    number = _positive(value)
-    if number > MAX_WIDTH:
-        raise ValueError(f"must be <= {MAX_WIDTH:g} radians; angles are 2 pi-periodic")
-    return number
+def _read(section: str, name: str, text: str):
+    """`text` as the value of [section] name, cast and range-checked by its `KEYS` entry."""
+    key = KEYS[section, name]
+    try:
+        if isinstance(key.kind, tuple) and text not in key.kind:
+            raise ValueError(f"must be one of {', '.join(key.kind)}")
+        if key.kind is Path and not text:
+            raise ValueError("must be a non-empty path; . is the config's own directory")
+        if not key.many:
+            return _number(key, text) if key.kind in (int, float, _angle) else text
+        numbers = tuple(_number(key, token) for token in text.split())
+        if not numbers or len(set(numbers)) != len(numbers):
+            raise ValueError("must be one or more distinct numbers")
+        return numbers
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"invalid value for [{section}] {name}: {text!r} ({exc})") from exc
 
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _path(value: str) -> str:
-    if not value:
-        raise ValueError("must be a non-empty path; . is the config's own directory")
-    return value
+def _fits(key: str, value, held: float, what: str) -> None:
+    """Raise a ConfigError naming `key = value` if `what`, `held` bytes (a float), exceed memory."""
+    memory = _physical_memory()
+    if held > memory:
+        raise ConfigError(f"{key} = {value}: {what} need {held / 2**30:,.1f} GiB, more than the "
+                          f"{memory / 2**30:.1f} GiB of physical memory")
 
 
-def _build(section: str, factory, *args, **kwargs):
-    """factory(*args, **kwargs), with its ValueError (which names a key) as a ConfigError."""
+def _build(section: str, factory, *args):
+    """factory(*args), with its ValueError (which names a key) as a ConfigError."""
     try:
-        return factory(*args, **kwargs)
+        return factory(*args)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _hamiltonian(value: str, base_dir: Path) -> PauliSum:
     """The [vqe] hamiltonian: ``bundled:NAME``, or a file path relative to the config."""
-    if value.startswith("bundled:"):
-        path = bundled_hamiltonian_path(value.split(":", 1)[1])
-    else:
-        path = base_dir / value
-    if not path.exists():
-        raise ConfigError(f"[vqe] hamiltonian file not found: {path}")
+    path = (bundled_hamiltonian_path(value.removeprefix("bundled:"))
+            if value.startswith("bundled:") else base_dir / value)
     try:
         return load_pauli_file(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"[vqe] hamiltonian file not found: {path}") from exc
     except (OSError, ValueError) as exc:
         raise ConfigError(f"[vqe] hamiltonian {path}: {exc}") from exc
 
@@ -154,7 +205,7 @@ def parse_config_text(text: str, base_dir: Path | None = None,
                       overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Parse and validate a config; `overrides` maps ``section.key`` to a value, `%` is literal.
 
-    Each key's range is checked by its cast; the library objects check their own
+    Every key is read through its `KEYS` entry; the library objects check their own
     arguments again, and `_validate` holds the rules that tie sections together.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
@@ -168,104 +219,60 @@ def parse_config_text(text: str, base_dir: Path | None = None,
         section, key = dotted.split(".", 1)
         parser.read_dict({section: {key: value.strip()}})
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-    read = set()
-
-    def get(section, key, default=None, cast=str):
-        read.add((section, key))
-        value = parser.get(section, key).strip() if parser.has_option(section, key) else default
-        if value is None:
-            return None
-        try:
-            return cast(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"invalid value for [{section}] {key}: {value!r} ({exc})") from exc
-
-    def require(section, key, cast=str):
-        if not parser.has_option(section, key):
-            raise ConfigError(f"missing required config key [{section}] {key}")
-        return get(section, key, cast=cast)
-
-    def tokens(cast):
-        return lambda value: tuple(cast(token) for token in value.split())
-
-    experiment = require("experiment", "kind")
-    if experiment not in EXPERIMENT_KINDS:
-        raise ConfigError(f"[experiment] kind must be one of {', '.join(EXPERIMENT_KINDS)}, "
-                          f"got {experiment!r}")
-    seeds = require("experiment", "seeds", tokens(_at_least(0)))
-
-    if not parser.has_section("ansatz"):
-        raise ConfigError("missing [ansatz] section")
-    spec = _build("ansatz", AnsatzSpec, require("ansatz", "family"),
-                  require("ansatz", "qubits", int), require("ansatz", "layers", int),
-                  get("ansatz", "structure_seed", "0", _at_least(0)))
-    memory = _physical_memory()
-    if spec.num_qubits > math.log2(memory / 32):
-        raise ConfigError(f"[ansatz] qubits = {spec.num_qubits}: the kernel's state and "
-                          f"temporary, 32 * 2**{spec.num_qubits} bytes, exceed the "
-                          f"{memory / 2**30:.1f} GiB of physical memory")
+    values = {section: {} for section, _ in KEYS}
+    for (section, name), key in KEYS.items():
+        text = parser.get(section, name, fallback=key.default)
+        if text is REQUIRED:
+            raise ConfigError(f"missing required config key [{section}] {name}")
+        values[section][name] = None if text is None else _read(section, name, text.strip())
+    unknown = [f"[{s}] {k}" for s in parser.sections() for k in parser.options(s)
+               if (s, k) not in KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)}")
+    experiment, ansatz, optimizer, gd, batch, scan = (values[section] for section in (
+        "experiment", "ansatz", "optimizer", "gradient_descent", "batch", "variance_scan"))
+    spec = _build("ansatz", AnsatzSpec, ansatz["family"], ansatz["qubits"], ansatz["layers"],
+                  ansatz["structure_seed"])
+    q = spec.num_qubits
+    # the float power is inf past 2**1023 bytes, which no memory holds
+    _fits("[ansatz] qubits", q, 32 * 2.0 ** min(q, 1023),
+          f"the kernel's state and temporary, 32 * 2**{q} bytes,")
     if spec.num_gates > MAX_GATES:
         raise ConfigError(f"[ansatz] layers = {spec.num_layers}: the {spec.family} circuit on "
-                          f"{spec.num_qubits} qubits has {spec.num_gates:,} gates, more than "
+                          f"{q} qubits has {spec.num_gates:,} gates, more than "
                           f"the {MAX_GATES:,} a run builds")
     template = spec.build()
-
-    optimizer = get("optimizer", "kind", "snes")
-    if optimizer not in OPTIMIZER_KINDS:
-        raise ConfigError(f"[optimizer] kind must be one of {', '.join(OPTIMIZER_KINDS)}, "
-                          f"got {optimizer!r}")
-    max_iterations = get("experiment", "max_iterations", "500", _at_least(0))
-    learning_rate = get("gradient_descent", "learning_rate", cast=_positive)
-    gd_iterations = get("gradient_descent", "max_iterations", cast=_at_least(0))
-    gd_tolerance = get("gradient_descent", "tolerance", "1e-8", _at_least(0.0, float))
-    ham = get("vqe", "hamiltonian")
+    iterations, ham = experiment["max_iterations"], values["vqe"]["hamiltonian"]
     config = ExperimentConfig(
-        experiment=experiment,
-        seeds=seeds,
-        out_dir=base_dir / get("experiment", "out", "runs/out", _path),
+        experiment=experiment["kind"],
+        seeds=experiment["seeds"],
+        out_dir=base_dir / experiment["out"],
         template=template,
-        optimizer=optimizer,
-        sigma_init=get("optimizer", "sigma_init", "0.1", _width),
-        workers=get("optimizer", "workers", "0", _at_least(0)),
-        nes=NesConfig(population=get("optimizer", "walkers", "16", _at_least(2)),
-                      max_iterations=max_iterations,
-                      stop_threshold=get("optimizer", "stop_threshold", "1e-8",
-                                         _at_least(0.0, float))),
-        gd=None if learning_rate is None else GdConfig(
-            learning_rate=learning_rate, tolerance=gd_tolerance,
-            max_iterations=max_iterations if gd_iterations is None else gd_iterations),
-        partition=_build("batch", PartitionStrategy, get("batch", "strategy", "random"),
-                         get("batch", "size", cast=int)),
-        scan=_build("variance_scan", VarianceScanConfig,
-                    num_inits=get("variance_scan", "num_inits", "500", _at_least(2)),
-                    sigma_values=get("variance_scan", "sigma_values", "pi/8 pi/16 pi/32",
-                                     tokens(lambda token: _width(_parse_angle_token(token)))),
-                    walker_counts=get("variance_scan", "walker_counts", "1 2 4 8",
-                                      tokens(_at_least(1))),
-                    observable=local_cost_observable(template.num_qubits)),
-        hybrid_warmup=get("hybrid", "warmup", "5", _at_least(0)),
+        optimizer=optimizer["kind"],
+        sigma_init=optimizer["sigma_init"],
+        workers=optimizer["workers"],
+        nes=NesConfig(population=optimizer["walkers"], max_iterations=iterations,
+                      stop_threshold=optimizer["stop_threshold"]),
+        gd=None if gd["learning_rate"] is None else GdConfig(
+            learning_rate=gd["learning_rate"], tolerance=gd["tolerance"],
+            max_iterations=iterations if gd["max_iterations"] is None else gd["max_iterations"]),
+        partition=_build("batch", PartitionStrategy, batch["strategy"], batch["size"]),
+        scan=_build("variance_scan", VarianceScanConfig, scan["num_inits"], scan["sigma_values"],
+                    scan["walker_counts"], local_cost_observable(q)),
+        hybrid_warmup=values["hybrid"]["warmup"],
         hamiltonian=None if ham is None else _hamiltonian(ham, base_dir),
         echo={f"{section}.{key}": value
               for section in parser.sections() for key, value in parser.items(section)},
     )
-    unknown = [f"[{s}] {k}" for s in parser.sections() for k in parser.options(s)
-               if (s, k) not in read]
-    if unknown:
-        raise ConfigError(f"unknown config key {', '.join(unknown)}")
     _validate(config)
     return config
 
 
 def _validate(config: ExperimentConfig) -> None:
     """The rules that tie one section to another."""
-    seeds = config.seeds
-    if not seeds:
-        raise ConfigError("[experiment] seeds must be non-empty")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"[experiment] seeds (or --seed) must be distinct, got {seeds}")
-    if config.experiment == "variance_scan" and len(seeds) != 1:
+    if config.experiment == "variance_scan" and len(config.seeds) != 1:
         raise ConfigError(f"[experiment] seeds (or --seed) must be one seed for variance_scan, "
-                          f"got {seeds}")
+                          f"got {config.seeds}")
     needs_gd = config.experiment in ("compare_gd", "hybrid") or config.optimizer == "gd"
     if needs_gd and config.gd is None:
         raise ConfigError("[gradient_descent] learning_rate is required for this experiment")
@@ -292,30 +299,21 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("[ansatz] family must be rpqc for variance_scan, "
                           "which scans the random circuit")
     # one generation holds its (k, P) sample and point matrices, and the strategy loop
-    # one cached stream per walker; nothing is allocated here
-    p, memory = config.template.num_params, _physical_memory()
+    # one cached stream per walker
+    p, scan = config.template.num_params, config.scan
     for key, k, stream in (("[optimizer] walkers", config.nes.population, STREAM_BYTES),
-                           ("[variance_scan] walker_counts", max(config.scan.walker_counts), 0)):
-        held = k * (16 * p + stream)
-        if held > memory:
-            raise ConfigError(f"{key} = {k}: one generation of {k:,} walkers on {p} parameters "
-                              f"holds {held / 2**30:.1f} GiB, more than the "
-                              f"{memory / 2**30:.1f} GiB of physical memory")
+                           ("[variance_scan] walker_counts", max(scan.walker_counts), 0)):
+        _fits(key, k, k * (16.0 * p + stream), f"one generation's {k:,} walkers on {p} parameters")
     # the scan keeps one float per initialization for each cell and for its exact column
-    scan = config.scan
-    held = 8 * scan.num_inits * (len(scan.sigma_values) * len(scan.walker_counts) + 1)
-    if held > memory:
-        raise ConfigError(f"[variance_scan] num_inits = {scan.num_inits}: its values for every "
-                          f"cell and the exact column hold {held / 2**30:.1f} GiB, more than "
-                          f"the {memory / 2**30:.1f} GiB of physical memory")
+    _fits("[variance_scan] num_inits", scan.num_inits,
+          8.0 * scan.num_inits * (len(scan.sigma_values) * len(scan.walker_counts) + 1),
+          "the scan's values for every cell and the exact column")
 
 
 def load_config(path, overrides: dict[str, str] | None = None, seeds=None,
                 out_dir=None) -> ExperimentConfig:
     """`seeds` overrides ``experiment.seeds``; `out_dir` replaces the output directory as given."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     overrides = dict(overrides or {})
     if seeds is not None:
         overrides["experiment.seeds"] = " ".join(str(int(s)) for s in seeds)
@@ -325,12 +323,14 @@ def load_config(path, overrides: dict[str, str] | None = None, seeds=None,
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     config = parse_config_text(text, path.parent, overrides)
     if out_dir is not None:
-        if not str(out_dir).strip():
-            raise ConfigError("invalid value for [experiment] out: --out must be a non-empty path")
+        _read("experiment", "out", str(out_dir).strip())
         config.out_dir = Path(out_dir)
         config.echo["experiment.out"] = str(out_dir)
-    if not next(p for p in (config.out_dir, *config.out_dir.parents) if p.exists()).is_dir():
-        raise ConfigError(f"invalid value for [experiment] out: not a directory: {config.out_dir}")
+    try:  # the nearest existing ancestor must be a directory
+        if not next(p for p in (config.out_dir, *config.out_dir.parents) if p.exists()).is_dir():
+            raise NotADirectoryError(f"not a directory: {config.out_dir}")
+    except OSError as exc:  # such as a name too long for the file system
+        raise ConfigError(f"invalid value for [experiment] out: {exc}") from exc
     return config
 
 

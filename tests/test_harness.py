@@ -457,6 +457,11 @@ class TestCli:
     def test_missing_config_exit_two(self, capsys):
         assert main(["run", "/nonexistent/config.ini"]) == 2
 
+    def test_config_name_too_long_exit_two(self, tmp_path, capsys):
+        path = tmp_path / ("c" * 400 + ".ini")
+        assert main(["run", str(path)]) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+
     def test_directory_config_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == 2
         assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
@@ -573,6 +578,17 @@ class TestCli:
                  "--override", "variance_scan.sigma_values=pi/8"], "[variance_scan] walker_counts"),
         (SCAN + ["--override", "variance_scan.sigma_values=pi/8 0.39269908169872414"],
          "[variance_scan] sigma_values"),
+        # [batch] size is range-checked whether or not the kind or strategy reads it
+        (["--override", "batch.size=-5"], "[batch] size"),
+        (["--override", "batch.size=0"], "[batch] size"),
+        (["--override", "batch.strategy=layer_wise", "--override", "batch.size=-1"],
+         "[batch] size"),
+        (["--override", "optimizer.walkers=" + "9" * 400], "[optimizer] walkers"),
+        (["--override", "experiment.max_iterations=" + "9" * 400],
+         "[experiment] max_iterations"),
+        (["--override", "experiment.kind=vqe", "--override", "vqe.hamiltonian=" + "h" * 400],
+         "[vqe] hamiltonian"),
+        (["--override", "experiment.out=" + "o" * 400], "[experiment] out"),
     ], ids=["random-no-size", "layer-block-no-size", "qubit-block-size-0", "config-seed",
             "cli-seed", "rpqc-1-qubit", "alpqc-2-qubits", "0-layers", "hybrid-xnes",
             "compare-gd-gd", "rpqc-size-above-params", "alpqc-size-above-params",
@@ -586,7 +602,10 @@ class TestCli:
             "snapshot-interval-negative", "config-seeds-repeated", "cli-seeds-repeated",
             "scan-two-config-seeds", "scan-two-cli-seeds", "out-empty", "canonical",
             "optimizer-kind-unknown", "experiment-kind-unknown", "gd-one-walker",
-            "state-beyond-memory", "scan-walker-count-repeated", "scan-sigma-repeated"])
+            "state-beyond-memory", "scan-walker-count-repeated", "scan-sigma-repeated",
+            "stateprep-size-negative", "stateprep-size-0", "layer-wise-size-negative",
+            "walkers-past-float-range", "max-iterations-past-float-range",
+            "hamiltonian-name-too-long", "out-name-too-long"])
     def test_rejected_at_load_before_output(self, tmp_path, capsys, args, key):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out="o"))
         # the config's circuit has 3 qubits

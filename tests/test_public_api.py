@@ -27,6 +27,7 @@ REMOVED = {
     "qnes.numerics": ["scale_from_factor"],
     "qnes.hamiltonian": ["vqe_fitness", "vqe_fitness_batch", "dense_matrix", "MAX_DENSE_QUBITS"],
     "qnes.gradients": ["energy_loss_gradient"],
+    "qnes.harness": ["_at_least", "_positive", "_width", "_parse_angle_token", "_path"],
 }
 
 
