@@ -23,7 +23,11 @@ from .simulator import (
 from .trace import GradientSnapshot, RunTrace
 
 SHIFT = np.pi / 2
-CHUNK_BYTES = 1 << 26  # cap per-chunk statevector memory for batched runs
+# Rows per chunk: CHUNK_BYTES of one statevector per row. A chunk holds more: the kernel's
+# (2, R, 2**Q) block of states and temporaries (32 B per row-amplitude, plus about 100 B
+# per row and varying column while its factors are built), then the observable's three
+# temporaries (48 B) beside it, about 5x CHUNK_BYTES: 320 MiB for 1024 rows at 12 qubits.
+CHUNK_BYTES = 1 << 26
 
 
 def _chunk_rows(num_qubits: int) -> int:

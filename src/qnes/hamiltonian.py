@@ -3,10 +3,10 @@
 The energy loss a VQE run minimizes is `gradients.loss_functions(template, h)`.
 `exact_ground_energy(h)` is the reference it is scored against: the lowest
 eigenvalue, found by Lanczos iteration (Lanczos 1950; Paige 1976) that applies H
-through the loss's own compiled form (`simulator._observable`): the Z-only terms as
-one real diagonal, then one gather per flip mask for that mask's terms. It holds a
-few state-sized vectors and never the 2**Q x 2**Q matrix, so it has no qubit
-ceiling of its own.
+through the loss's own compiled form (`simulator._observable`), each term one cached
+flip and sign (`simulator._pauli`): the Z-only terms as one real diagonal, then one
+gather per flip mask for that mask's terms. It holds a few state-sized vectors and
+never the 2**Q x 2**Q matrix, so it has no qubit ceiling of its own.
 
 File format (UTF-8 text): `#` starts a comment; the first content line is
 `qubits <N>`; every other content line is `<coefficient> <P><q> [<P><q> ...]`
@@ -89,12 +89,13 @@ def load_pauli_file(path) -> PauliSum:
 def exact_ground_energy(h: PauliSum) -> float:
     """Lowest eigenvalue of the Pauli sum, by the Lanczos three-term recurrence.
 
-    Identity terms are a constant shift. The rest act as sum(coeff * phase * v[perm])
-    on a fixed-seed start vector, in real arithmetic when no term has an odd number of
-    Y factors: the Z-only terms as one diagonal, and each flip mask's terms from one
-    gather of v. It stops when the lowest Ritz pair's residual |beta * y_last|, or beta
-    (an invariant subspace), is at most LANCZOS_RTOL * sum|coeff|, and raises
-    RuntimeError rather than return a value unconverged after LANCZOS_MAX_STEPS steps.
+    Identity terms are a constant shift. The rest act as sum(coeff * phase * v[perm]),
+    with each term's (-i)**ys in its coeff, on a fixed-seed start vector, in real
+    arithmetic when no term has an odd number of Y factors: the Z-only terms as one
+    diagonal, and each flip mask's terms from one gather of v. It stops when the lowest
+    Ritz pair's residual |beta * y_last|, or beta (an invariant subspace), is at most
+    LANCZOS_RTOL * sum|coeff|, and raises RuntimeError rather than return a value
+    unconverged after LANCZOS_MAX_STEPS steps.
     """
     shift = sum(coeff for coeff, paulis in h.terms if not paulis)
     if all(not paulis for _, paulis in h.terms):

@@ -5,10 +5,13 @@ Conventions, used consistently everywhere (including by the Hamiltonian parser):
 - rotations are half-angle: R_P(theta) = exp(-i * theta * P / 2) for P in {X, Y, Z};
 - CZ is diag(1, 1, 1, -1).
 
-Every Pauli action, whether inside a rotation gate or as an observable term, is one
-index permutation and one phase vector: P|psi> = phase * psi[perm]. States are
-either a single vector of shape (2**Q,) or a batch of shape (B, 2**Q); batched
-runs evaluate many parameter vectors of the same circuit at once.
+Every Pauli string, in a rotation gate or an observable term, is one index permutation,
+one sign vector and one scalar (`_pauli`): P|psi> = (-i)**ys * sign * psi[flip], where
+flip is i -> i ^ m for the mask m of its X and Y qubits, sign is (-1)**popcount(i & m')
+for the mask m' of its Y and Z qubits, and ys counts its Y factors. Both arrays are
+cached per mask, so gates and terms that act alike share one. States are either a single
+vector of shape (2**Q,) or a batch of shape (B, 2**Q); batched runs evaluate many
+parameter vectors of the same circuit at once.
 
 Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
 `template.plan`, the leading fixed gates already run into its start state); a Pauli
@@ -21,11 +24,12 @@ state and its temporary; it returns the first half, so a held state keeps its te
 alive. The observable allocates one (3, B, 2**Q) block for its three. A rotation's factors
 are one scalar over the whole batch for an angle column that every row shares, and one
 multiply of the pair by a (2, B, 1) [cos; coefficient] block for a column whose rows
-differ. The sign vectors the hot loops multiply by (the RY/RZ z signs, the CZ-run signs
-and the observable's phases) are cached complex, so numpy casts none of them per call.
+differ. The sign vectors the hot loops multiply by (a string's signs and the CZ-run
+signs) are cached complex, so numpy casts none of them per call; a string's (-i)**ys
+goes into the scalar it is multiplied by, which is exact since every factor is +-1 or +-i.
 
 For two or more rows, an RY or RZ on a shared column multiplies once by one fused
-vector, its z signs times the scalar coefficient, which is exact because the signs are
+vector, its sign vector times the scalar coefficient, which is exact because the signs are
 +-1 (the fused rule); with one row, building that vector costs the pass it saves (the
 rows rule). The pair blocks, the temporaries and the cached sign vectors start on a
 64-byte cache line (`_aligned`): a pass over operands at different 16-byte offsets of
@@ -45,7 +49,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -157,35 +161,29 @@ def _aligned(shape, values=None) -> np.ndarray:
     return array
 
 
-# R_P(theta) = cos(theta/2) I - i sin(theta/2) P is applied as full-array
-# operations: the Pauli action is a gather through a cached index permutation
-# and/or a multiply by a cached phase vector, so per-row coefficients broadcast
-# over long inner loops instead of short strided slices. The primitives are
-# cached per qubit and per CZ run, so the gates, plans and observable terms that
-# act alike share one array instead of each holding a copy.
+@lru_cache(maxsize=512)
+def _flip(num_qubits: int, mask: int) -> np.ndarray:
+    """The index permutation i -> i ^ mask."""
+    return np.arange(1 << num_qubits) ^ mask
 
 
 @lru_cache(maxsize=512)
-def _x_permutation(num_qubits: int, qubit: int) -> np.ndarray:
-    return np.arange(1 << num_qubits) ^ (1 << qubit)
+def _sign(num_qubits: int, mask: int) -> np.ndarray:
+    """(-1)**popcount(i & mask) for every index i, as complex."""
+    idx = np.arange(1 << num_qubits) & mask
+    parity = sum((idx >> q) & 1 for q in range(mask.bit_length()))
+    return _aligned(idx.shape, 1.0 - 2.0 * (parity & 1))
 
 
-@lru_cache(maxsize=512)
-def _y_factor(num_qubits: int, qubit: int) -> np.ndarray:
-    bit = (np.arange(1 << num_qubits) >> qubit) & 1
-    return 1j * (2.0 * bit - 1.0)
-
-
-@lru_cache(maxsize=512)
-def _z_sign(num_qubits: int, qubit: int) -> np.ndarray:
-    bit = (np.arange(1 << num_qubits) >> qubit) & 1
-    return 1.0 - 2.0 * bit
-
-
-@lru_cache(maxsize=512)
-def _z_phase(num_qubits: int, qubit: int) -> np.ndarray:
-    """The z sign vector as complex: the phase of every RY and RZ op on `qubit`."""
-    return _aligned((1 << num_qubits,), _z_sign(num_qubits, qubit))
+def _pauli(num_qubits: int, paulis) -> tuple:
+    """(perm, phase, ys) of a Pauli string, P|psi> = (-i)**ys * phase * psi[perm]: perm
+    flips the bits of its X and Y qubits (None if there are none), phase is the sign of
+    its Y and Z qubits (None if there are none) and ys counts its Y factors, since Y is
+    -i Z X on its qubit."""
+    flips = sum(1 << q for q, p in paulis if p != "Z")
+    signs = sum(1 << q for q, p in paulis if p != "X")
+    return (_flip(num_qubits, flips) if flips else None,
+            _sign(num_qubits, signs) if signs else None, sum(p == "Y" for _, p in paulis))
 
 
 @lru_cache(maxsize=512)
@@ -270,11 +268,11 @@ def compile_circuit(template) -> tuple[tuple, np.ndarray, np.ndarray]:
     """(ops, fixed, start): the template as kernel ops from its first slotted gate on,
     its fixed angles, and the state the ops before that gate make from |0...0>.
 
-    Each op is (perm, phase, column). A rotation reads `column` of the C-column matrix
-    [parameter rows | fixed angles]: its slot, or P plus its place among the fixed
-    angles; an RY's is that less C, which picks the same cos and the -sin coefficient
-    block. RX gathers through its bit flip, RZ multiplies by the z signs, and RY does
-    both. A run of adjacent CZ gates is one op, column None, phase its sign vector.
+    Each op is (perm, phase, column). A rotation is its one-factor Pauli string's perm
+    and phase (`_pauli`), reading `column` of the C-column matrix [parameter rows | fixed
+    angles]: its slot, or P plus its place among the fixed angles, less C per Y factor,
+    which picks the same cos and the -sin coefficient half for RY's -i. A run of
+    adjacent CZ gates is one op, column None, phase its sign vector.
     """
     n = template.num_qubits
     width = template.num_params + sum(g.angle is not None for g in template.gates)
@@ -289,12 +287,8 @@ def compile_circuit(template) -> tuple[tuple, np.ndarray, np.ndarray]:
             else:
                 column = template.num_params + len(fixed)
                 fixed.append(gate.angle)
-            q = gate.qubits[0]
-            perm = None if gate.kind == "RZ" else _x_permutation(n, q)
-            phase = None if gate.kind == "RX" else _z_phase(n, q)
-            if gate.kind == "RY":  # Y|psi> = -i z psi[perm] for the sign vector z
-                column -= width
-            ops.append((perm, phase, column))
+            perm, phase, ys = _pauli(n, ((gate.qubits[0], gate.kind[1]),))
+            ops.append((perm, phase, column - width * ys))
     pair = np.array([zero_state(n, batch=1)] * 2)
     angles = np.array([[0.0] * template.num_params + fixed])
     _sweep(pair, ops[:lead], angles)
@@ -339,34 +333,22 @@ def vacuum_projector_expectation(state: np.ndarray) -> np.ndarray | float:
 @lru_cache(maxsize=64)
 def _observable(h: PauliSum, num_qubits: int) -> tuple:
     """h compiled for states of num_qubits qubits: per flip mask, in order of first use,
-    (perm, ((index, coeff, phase), ...)), so that term `index` acts as P|psi> = phase *
-    psi[perm]. perm is None for the Z-only and identity terms, and phase is None for a
-    pure flip. A one-qubit flip is the kernel's `_x_permutation` and a lone Z sign its
-    `_z_phase`; any other phase is the term's Z signs and Y factors multiplied in qubit
-    order, copied aligned."""
+    (perm, ((index, coeff, phase), ...)): term `index` times its coefficient acts as
+    coeff * phase * psi[perm], on `_pauli`'s arrays with its (-i)**ys in coeff. perm is
+    None for the Z-only and identity terms, and phase is None for a pure flip."""
     groups = {}
     for index, (coeff, paulis) in enumerate(h.terms):
-        flips = [q for q, p in paulis if p != "Z"]
-        signs = [(q, p) for q, p in paulis if p != "X"]
-        mask = sum(1 << q for q in flips)
-        if mask not in groups:
-            perm = _x_permutation(num_qubits, flips[0]) if flips else None
-            groups[mask] = (np.arange(1 << num_qubits) ^ mask if len(flips) > 1 else perm), []
-        if not signs:
-            phase = None
-        elif len(signs) == 1 and signs[0][1] == "Z":
-            phase = _z_phase(num_qubits, signs[0][0])
-        else:
-            phase = _aligned((1 << num_qubits,), reduce(np.multiply, [
-                (_z_sign if p == "Z" else _y_factor)(num_qubits, q) for q, p in signs]))
-        groups[mask][1].append((index, coeff, phase))
+        perm, phase, ys = _pauli(num_qubits, paulis)
+        mask = sum(1 << q for q, p in paulis if p != "Z")
+        groups.setdefault(mask, (perm, []))[1].append(
+            (index, coeff * (1, -1j, -1, 1j)[ys % 4], phase))
     return tuple((perm, tuple(members)) for perm, members in groups.values())
 
 
 def pauli_expectation_batch(state: np.ndarray, h: PauliSum) -> np.ndarray:
     """<psi|H|psi> per row. conj(psi) * psi[perm] is formed once per flip mask, and each
-    of its terms reduces that product times its phase; a phase of +-1 or +-i commutes
-    exactly with the product. The terms are then added in the sum's order."""
+    of its terms reduces that product times its sign, exact since the sign is +-1, and
+    scales the sum by its coefficient. The terms are then added in the sum's order."""
     rows = np.atleast_2d(np.asarray(state, dtype=complex))
     num_qubits = num_qubits_of(rows)
     if num_qubits < h.num_qubits:

@@ -19,7 +19,8 @@ MODULES = ["qnes"] + sorted(f"qnes.{m.name}" for m in pkgutil.iter_modules(qnes.
 REMOVED = {
     "qnes.simulator": ["apply_gate", "stateprep_fitness", "stateprep_fitness_batch",
                        "apply_pauli_string", "_terms", "_flip_groups", "_pauli_action",
-                       "_scratch", "_ScratchStore", "_SCRATCH"],
+                       "_scratch", "_ScratchStore", "_SCRATCH", "_x_permutation", "_y_factor",
+                       "_z_sign", "_z_phase"],
     "qnes.ansatz": ["template_from_text", "FAMILIES", "template_from_gates"],
     "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse", "_rank_order",
                  "IsotropicDistribution", "canonical_step", "canonical_gradient_estimate",

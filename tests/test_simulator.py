@@ -535,7 +535,7 @@ class TestObservableReferee:
 
 class TestCompiledObservable:
     """`_observable` is a sum's one compiled form: each term once, in its flip mask's group,
-    on the kernel's own cached arrays where a term acts as one gate does."""
+    on the cached flip and sign arrays of its masks, which the kernel's gates share."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(pauli_sums())
@@ -543,7 +543,8 @@ class TestCompiledObservable:
     def test_each_term_once_on_shared_aligned_arrays(self, case):
         _, h = case
         n = h.num_qubits
-        groups = simulator._observable(h, n)
+        # compiled afresh, so the array caches hold every flip and sign it used
+        groups = simulator._observable.__wrapped__(h, n)
         order = [[index for index, _, _ in members] for _, members in groups]
         assert sorted(sum(order, [])) == list(range(len(h.terms)))
         assert all(indices == sorted(indices) for indices in order)  # term order within a mask
@@ -552,16 +553,60 @@ class TestCompiledObservable:
         for perm, members in groups:
             (flips,) = {tuple(q for q, p in h.terms[i][1] if p != "Z") for i, _, _ in members}
             masks.append(flips)
-            if len(flips) == 1:
-                assert perm is simulator._x_permutation(n, flips[0])
+            if flips:
+                assert perm is simulator._flip(n, sum(1 << q for q in flips))
             assert (perm is None) == (not flips)
             for index, coeff, phase in members:
                 term_coeff, paulis = h.terms[index]
-                assert coeff == term_coeff
-                if [p for _, p in paulis] == ["Z"]:
-                    assert phase is simulator._z_phase(n, paulis[0][0])
+                ys = sum(p == "Y" for _, p in paulis)
+                assert coeff == term_coeff * (1, -1j, -1, 1j)[ys % 4]
+                signs = sum(1 << q for q, p in paulis if p != "X")
+                assert phase is (simulator._sign(n, signs) if signs else None)
                 assert phase is None or phase.ctypes.data % 64 == 0
         assert len(set(masks)) == len(masks)
+
+
+@st.composite
+def pauli_strings(draw):
+    """(num_qubits, paulis, psi): a Pauli string on 1-8 qubits, identity included, and a
+    random complex state with some amplitudes exactly 0."""
+    q = draw(st.integers(1, 8))
+    letters = draw(st.lists(st.sampled_from("IXYZ"), min_size=q, max_size=q))
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+    psi = gen.standard_normal(1 << q) + 1j * gen.standard_normal(1 << q)
+    psi[gen.random(psi.shape) < 1 / 4] = 0.0
+    return q, tuple((k, p) for k, p in enumerate(letters) if p != "I"), psi
+
+
+class TestPauliString:
+    """`_pauli` is the one form of a Pauli string: the kernel's rotations and the
+    observable's terms read its arrays, and it keeps the Kronecker product's bits."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(pauli_strings())
+    @example((1, ((0, "Y"),), np.array([1.0 - 2.0j, 0.5j])))
+    @example((3, ((0, "Y"), (1, "Y"), (2, "Y")), np.arange(8) * (1 - 1j)))
+    def test_matches_the_kronecker_product_bit_for_bit(self, case):
+        q, paulis, psi = case
+        perm, phase, ys = simulator._pauli(q, paulis)
+        action = (-1j)**ys * (1 if phase is None else phase) * (psi if perm is None else psi[perm])
+        assert np.array_equal(action, dense_pauli_string(paulis, q) @ psi)
+        assert ys == sum(p == "Y" for _, p in paulis)
+
+    @pytest.mark.parametrize("q", [0, 3])
+    def test_gates_and_one_factor_terms_hold_its_arrays(self, q):
+        n = 4
+        template = CircuitTemplate(n, [Gate(k, (q,), slot=s) for s, k in enumerate(ROTATION_KINDS)])
+        ops, _, _ = compile_circuit(template)
+        h = PauliSum.build(n, [(1.0, {q: kind[1]}) for kind in ROTATION_KINDS])
+        terms = {index: (perm, phase) for perm, members in simulator._observable(h, n)
+                 for index, _, phase in members}
+        for slot, (kind, (perm, phase, column)) in enumerate(zip(ROTATION_KINDS, ops)):
+            want_perm, want_phase, ys = simulator._pauli(n, ((q, kind[1]),))
+            assert perm is want_perm and phase is want_phase
+            assert terms[slot][0] is want_perm and terms[slot][1] is want_phase
+            assert ys == (kind == "RY")
+            assert column == slot - 3 * ys  # RY's -sin half of the coefficient table
 
 
 class TestBufferRule:
@@ -695,6 +740,30 @@ class TestScratchBuffers:
             tracemalloc.stop()
         assert values.shape == (256,)
         assert held < 1 << 20  # a 256-row, 12-qubit call's temporaries take 48 MiB
+
+    @pytest.mark.parametrize("q, b", [(10, 256), (12, 128)])
+    def test_a_call_peaks_at_its_blocks(self, q, b):
+        """The kernel's peak is its (2, B, 2**Q) pair block, 32 B per row-amplitude, and the
+        observable's its three temporaries, 48 B, each plus one fixed allowance; one more
+        state-sized temporary (16 B) is four times that allowance or more."""
+        template, h = build_rpqc(q, 1, structure_seed=4), PauliSum.build(q, MIXED_TERMS)
+        rows = np.random.default_rng(q).uniform(0, 2 * np.pi, (b, template.num_params))
+        states = run_circuit_batch(template, rows)
+        simulator._observable(h, q)  # compiled once and cached, outside the trace
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call, args in ((run_circuit_batch, (template, rows)),
+                               (pauli_expectation_batch, (states, h))):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                call(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        allowance, amplitudes = 1 << 20, b << q
+        assert 32 * amplitudes <= peaks[0] <= 32 * amplitudes + allowance
+        assert 48 * amplitudes <= peaks[1] <= 48 * amplitudes + allowance
 
     def test_concurrent_threads_keep_their_own_scratch(self, rng):
         template = random_template(rng, 6, 40)
