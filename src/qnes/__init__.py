@@ -23,7 +23,6 @@ from .gradients import (
     hybrid_optimize,
     loss_functions,
     parameter_shift_expectation_gradient,
-    stateprep_loss_gradient,
     surrogate_gradient_variance_scan,
 )
 from .hamiltonian import exact_ground_energy, load_pauli_file, parse_pauli_file
@@ -39,8 +38,6 @@ from .numerics import SeededRng, matrix_exponential_symmetric
 from .simulator import (
     Gate,
     PauliSum,
-    pauli_expectation,
-    run_circuit,
     vacuum_projector_expectation,
 )
 from .trace import GradientSnapshot, RunTrace

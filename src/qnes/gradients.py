@@ -1,9 +1,10 @@
 """Analytical parameter-shift gradients, the gradient-descent baseline, the
 surrogate-gradient variance scan, and the warm-up-then-descend hybrid strategy.
 
-Every trainable gate is a Pauli rotation, so shifting one parameter by +/- pi/2
-gives the exact derivative of any expectation value from two circuit runs:
-dE/dtheta_j = (E(theta_j + pi/2) - E(theta_j - pi/2)) / 2.
+Every trainable gate is a Pauli rotation, so shifting one parameter by +/- pi/2 gives the
+exact derivative of any expectation value from two circuit runs:
+dE/dtheta_j = (E(theta_j + pi/2) - E(theta_j - pi/2)) / 2. A descent step runs its point
+with its 2P shifted rows as one call, the 2P+1 evaluations the trace charges.
 """
 
 from __future__ import annotations
@@ -42,11 +43,18 @@ def expectation_values(template, param_rows: np.ndarray, observable: PauliSum | 
     for start in range(0, param_rows.shape[0], rows_per_chunk):
         chunk = param_rows[start:start + rows_per_chunk]
         states = run_circuit_batch(template, chunk)
-        if observable is None:
-            out[start:start + chunk.shape[0]] = vacuum_projector_expectation(states)
-        else:
-            out[start:start + chunk.shape[0]] = pauli_expectation_batch(states, observable)
+        out[start:start + len(chunk)] = (vacuum_projector_expectation(states) if observable is None
+                                         else pauli_expectation_batch(states, observable))
     return out
+
+
+def _shifted(params: np.ndarray, index: np.ndarray, lead: int = 0) -> np.ndarray:
+    """lead copies of params, then params + SHIFT, then params - SHIFT, at each index."""
+    n = index.size
+    rows = np.repeat(params[None, :], lead + 2 * n, axis=0)
+    rows[lead + np.arange(n), index] += SHIFT
+    rows[lead + n + np.arange(n), index] -= SHIFT
+    return rows
 
 
 def parameter_shift_expectation_gradient(
@@ -65,30 +73,29 @@ def parameter_shift_expectation_gradient(
     if np.any((index < 0) | (index >= p)):
         raise ValueError(f"components must be parameter indices in [0, {p})")
     n = index.size
-    shifted = np.repeat(params[None, :], 2 * n, axis=0)
-    shifted[np.arange(n), index] += SHIFT
-    shifted[n + np.arange(n), index] -= SHIFT
-    values = expectation_values(template, shifted, observable)
+    values = expectation_values(template, _shifted(params, index), observable)
     return (values[:n] - values[n:]) / 2.0
 
 
-def stateprep_loss_gradient(template, params: np.ndarray) -> np.ndarray:
-    """Chain rule for the squared state-preparation loss (1 - E)**2."""
-    e = expectation_values(template, np.asarray(params, dtype=float)[None, :], None)[0]
-    return -2.0 * (1.0 - e) * parameter_shift_expectation_gradient(template, params, None)
-
-
 def loss_functions(template, observable: PauliSum | None = None):
-    """(loss, loss gradient): the energy of observable, or state prep (1 - E)**2 if None.
+    """(loss, value_and_grad): the energy of observable, or state prep (1 - E)**2 if None.
 
-    The loss maps a (B, P) matrix of parameter rows to B values; the gradient takes one
-    parameter vector.
+    The loss maps a (B, P) matrix of parameter rows to B values. value_and_grad(z) runs z
+    and its 2P shifted rows as one (2P+1)-row matrix and returns z's loss and gradient.
     """
+    index = np.arange(template.num_params)
+
+    def value_and_grad(z):
+        e = expectation_values(template, _shifted(np.asarray(z, float), index, lead=1), observable)
+        grad = (e[1:index.size + 1] - e[index.size + 1:]) / 2.0
+        if observable is not None:
+            return float(e[0]), grad
+        miss = 1.0 - e[0]  # chain rule for (1 - E)**2
+        return float(miss * miss), -2.0 * miss * grad
+
     if observable is None:
-        return (lambda rows: (1.0 - expectation_values(template, rows, None)) ** 2,
-                lambda z: stateprep_loss_gradient(template, z))
-    return (lambda rows: expectation_values(template, rows, observable),
-            lambda z: parameter_shift_expectation_gradient(template, z, observable))
+        return lambda rows: (1.0 - expectation_values(template, rows, None)) ** 2, value_and_grad
+    return lambda rows: expectation_values(template, rows, observable), value_and_grad
 
 
 @dataclass
@@ -108,35 +115,38 @@ class GdConfig:
 
 def gradient_descent(
     loss,
-    grad_fn,
+    value_and_grad,
     initial_params: np.ndarray,
     config: GdConfig,
     trace: RunTrace | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """theta <- theta - eta * grad until the gradient norm drops below tolerance.
 
-    `loss` maps a matrix of parameter rows to their losses. The trace charges
-    2 * num_params + 1 evaluations per iteration (the parameter-shift gradient
-    plus the recorded loss). A trace that already has rows is continued:
-    iterations and evaluations count on from its last row, and no new row 0 is
-    recorded.
+    `loss` and `value_and_grad` are as returned by `loss_functions`: each iteration but the
+    last makes one value_and_grad call, the last one `loss` call, and the trace charges
+    2 * num_params + 1 evaluations each. The start gradient becomes a snapshot unless the
+    trace holds one for that iteration. A trace with rows is continued: iterations and
+    evaluations count on from its last row, and no new row 0 is recorded.
     """
     x = np.array(initial_params, dtype=float)
     evals_per_iteration = 2 * x.size + 1
-    if trace is None:
-        trace = RunTrace()
-    value = float(loss(x[None, :])[0])
+    trace = RunTrace() if trace is None else trace
+    value, grad = value_and_grad(x)
     if not np.isfinite(value):
         raise RuntimeError("loss diverged at the initial point")
     if not len(trace):
         trace.record(0, 0, value, 0.0)
     start, start_evals = trace.iterations[-1], trace.evaluations[-1]
+    if all(snap.iteration != start for snap in trace.gradient_snapshots):
+        trace.gradient_snapshots.append(GradientSnapshot(start, grad))
     for iteration in range(1, config.max_iterations + 1):
-        grad = np.asarray(grad_fn(x), dtype=float)
         if float(np.linalg.norm(grad)) < config.tolerance:
             break
         x = x - config.learning_rate * grad
-        value = float(loss(x[None, :])[0])
+        if iteration < config.max_iterations:
+            value, grad = value_and_grad(x)
+        else:
+            value = float(loss(x[None, :])[0])
         if not np.isfinite(value):
             raise RuntimeError(f"loss diverged at iteration {iteration}")
         trace.record(start + iteration, start_evals + iteration * evals_per_iteration, value, 0.0)
@@ -237,7 +247,7 @@ def analytical_gradient_variance(
 
 def hybrid_optimize(
     loss,
-    grad_fn,
+    value_and_grad,
     mu: np.ndarray,
     warmup_iterations: int,
     nes_config: NesConfig,
@@ -247,21 +257,16 @@ def hybrid_optimize(
 ) -> tuple[np.ndarray, RunTrace]:
     """Separable-strategy warm-up from mu, then plain gradient descent from the reached center.
 
-    `loss` and `grad_fn` are as returned by `loss_functions`. Analytical-gradient
-    snapshots are recorded at iteration 0 and, when the warm-up ran at least one
-    iteration, at its end; they are the data behind violin-style gradient-spread plots.
+    `loss` and `value_and_grad` are as returned by `loss_functions`. Analytical-gradient
+    snapshots are recorded at iteration 0 and at the warm-up's end, where descent starts;
+    they are the data behind violin-style gradient-spread plots.
     """
     if warmup_iterations < 0:
         raise ValueError("warmup_iterations must be >= 0")
     mu = np.array(mu, dtype=float)
     trace = RunTrace()
-    trace.gradient_snapshots.append(GradientSnapshot(0, grad_fn(mu)))
-
     if warmup_iterations > 0:
-        warm_cfg = replace(nes_config, max_iterations=warmup_iterations)
-        dist = initial_distribution("snes", mu, sigma_init)
-        mu, trace = optimize(loss, dist, warm_cfg, rng, trace=trace)
-        if trace.iterations[-1] > 0:
-            trace.gradient_snapshots.append(GradientSnapshot(trace.iterations[-1], grad_fn(mu)))
-
-    return gradient_descent(loss, grad_fn, mu, gd_config, trace)
+        trace.gradient_snapshots.append(GradientSnapshot(0, value_and_grad(mu)[1]))
+        mu, trace = optimize(loss, initial_distribution("snes", mu, sigma_init),
+                             replace(nes_config, max_iterations=warmup_iterations), rng, trace)
+    return gradient_descent(loss, value_and_grad, mu, gd_config, trace)

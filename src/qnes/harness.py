@@ -418,7 +418,7 @@ def write_summary_csv(path: Path, rows, config: ExperimentConfig | None = None,
 
 
 def _problem(config: ExperimentConfig):
-    """(loss, grad_fn, header_extra) of the configured loss.
+    """(loss, value_and_grad, header_extra) of the configured loss.
 
     The energy of the [vqe] Hamiltonian when one is set, state preparation otherwise.
     """
@@ -450,10 +450,10 @@ def _run_nes(config: ExperimentConfig, loss, seed: int) -> RunTrace:
     return trace
 
 
-def _run_hybrid(config: ExperimentConfig, loss, grad_fn, seed: int) -> RunTrace:
+def _run_hybrid(config: ExperimentConfig, loss, value_and_grad, seed: int) -> RunTrace:
     rng, mu0 = _start(config, seed)
-    _, trace = hybrid_optimize(loss, grad_fn, mu0, config.hybrid_warmup, config.nes, config.gd,
-                               rng, sigma_init=config.sigma_init)
+    _, trace = hybrid_optimize(loss, value_and_grad, mu0, config.hybrid_warmup, config.nes,
+                               config.gd, rng, sigma_init=config.sigma_init)
     write_snapshot_csv(config.out_dir / f"trace_seed{seed}_gradients.csv", trace, config, seed)
     return trace
 
@@ -484,18 +484,18 @@ def run_experiment(config: ExperimentConfig) -> None:
     if config.experiment == "variance_scan":
         _run_variance_scan(config)
         return
-    loss, grad_fn, extra = _problem(config)
+    loss, value_and_grad, extra = _problem(config)
 
     def nes(seed):
         return _run_nes(config, loss, seed)
 
     def gd(seed):
-        return gradient_descent(loss, grad_fn, _start(config, seed)[1], config.gd)[1]
+        return gradient_descent(loss, value_and_grad, _start(config, seed)[1], config.gd)[1]
 
     if config.experiment == "compare_gd":
         runners = {"_nes": nes, "_gd": gd}
     elif config.experiment == "hybrid":
-        runners = {"": lambda seed: _run_hybrid(config, loss, grad_fn, seed)}
+        runners = {"": lambda seed: _run_hybrid(config, loss, value_and_grad, seed)}
     else:
         runners = {"": gd if config.optimizer == "gd" else nes}
     traces = {suffix: _run_seeds(config, runner, suffix, extra)

@@ -9,9 +9,8 @@ Every Pauli string, in a rotation gate or an observable term, is one index permu
 one sign vector and one scalar (`_pauli`): P|psi> = (-i)**ys * sign * psi[flip], where
 flip is i -> i ^ m for the mask m of its X and Y qubits, sign is (-1)**popcount(i & m')
 for the mask m' of its Y and Z qubits, and ys counts its Y factors. Both arrays are
-cached per mask, so gates and terms that act alike share one. States are either a single
-vector of shape (2**Q,) or a batch of shape (B, 2**Q); batched runs evaluate many
-parameter vectors of the same circuit at once.
+cached per mask, so gates and terms that act alike share one. The kernel maps a (B, P)
+matrix of parameter rows to (B, 2**Q) states; one point is a one-row matrix.
 
 Each is compiled once: a template into kernel ops (`compile_circuit`, kept as
 `template.plan`, the leading fixed gates already run into its start state); a Pauli
@@ -318,16 +317,10 @@ def run_circuit_batch(template, param_rows: np.ndarray) -> np.ndarray:
     return pair[0]
 
 
-def run_circuit(template, params: np.ndarray) -> np.ndarray:
-    """|psi> = U(params)|0...0>, gates applied in template order."""
-    return run_circuit_batch(template, np.asarray(params, dtype=float)[None, ...])[0]
-
-
-def vacuum_projector_expectation(state: np.ndarray) -> np.ndarray | float:
-    """|<0...0|psi>|**2: squared magnitude of the first amplitude."""
+def vacuum_projector_expectation(state: np.ndarray) -> np.ndarray:
+    """|<0...0|psi>|**2 per row: squared magnitude of the first amplitude."""
     a0 = state[..., 0]
-    value = a0.real**2 + a0.imag**2
-    return value if np.ndim(value) else float(value)
+    return a0.real**2 + a0.imag**2
 
 
 @lru_cache(maxsize=64)
@@ -368,8 +361,3 @@ def pauli_expectation_batch(state: np.ndarray, h: PauliSum) -> np.ndarray:
     if residue > IMAG_RESIDUE_TOL:
         raise RuntimeError(f"expectation has imaginary residue {residue:.3e}")
     return total.real
-
-
-def pauli_expectation(state: np.ndarray, h: PauliSum) -> float:
-    """<psi|H|psi> for a Hermitian Pauli sum; raises if the value is not real."""
-    return float(pauli_expectation_batch(state, h)[0])

@@ -24,7 +24,6 @@ from qnes.gradients import (
     local_cost_observable,
     loss_functions,
     parameter_shift_expectation_gradient,
-    stateprep_loss_gradient,
     surrogate_gradient_variance_scan,
 )
 from qnes.hamiltonian import (
@@ -45,7 +44,7 @@ from qnes.nes import (
 )
 from qnes.numerics import SeededRng
 from qnes.harness import load_config, run_experiment
-from qnes.simulator import PauliSum, run_circuit
+from qnes.simulator import PauliSum, run_circuit_batch
 
 
 def report(number: int, description: str):
@@ -72,7 +71,7 @@ def test_criterion_01_simulator_matches_dense_oracle():
             template = random_template(rng, q, layers_worth)
             params = rng.uniform(max(template.num_params, 1), 0, 2 * np.pi)
             params = params[: template.num_params]
-            state = run_circuit(template, params)
+            state = run_circuit_batch(template, params[None])[0]
             expected = dense_unitary(template, params)[:, 0]
             assert np.max(np.abs(state - expected)) < 1e-10
 
@@ -98,8 +97,8 @@ def test_criterion_02_parameter_shift_matches_finite_differences():
                     grad[j] = (fn(plus) - fn(minus)) / (2 * h_step)
                 return grad
 
-            loss_grad = stateprep_loss_gradient(template, params)
-            loss, _ = loss_functions(template)
+            loss, value_and_grad = loss_functions(template)
+            loss_grad = value_and_grad(params)[1]
             fd_loss = fd(lambda p: loss(p[None, :])[0])
             assert np.max(np.abs(loss_grad - fd_loss)) < 1e-6
 
@@ -186,7 +185,7 @@ def test_criterion_07_classical_sphere_sanity():
 def test_criterion_08_state_preparation_and_descent_baseline(monkeypatch):
     with report(8, "5-qubit state prep: strategy and baseline hit 1e-2; eval accounting"):
         template = build_rpqc(5, 10, structure_seed=11)
-        fitness, _ = loss_functions(template)
+        fitness, value_and_grad = loss_functions(template)
 
         nes_hits = 0
         for seed in range(10):
@@ -205,7 +204,7 @@ def test_criterion_08_state_preparation_and_descent_baseline(monkeypatch):
             rng = SeededRng(seed)
             x0 = rng.uniform(template.num_params, 0, 2 * np.pi)
             _, trace = gradient_descent(
-                fitness, lambda z: stateprep_loss_gradient(template, z), x0,
+                fitness, value_and_grad, x0,
                 GdConfig(learning_rate=0.1, max_iterations=500),
             )
             diffs = np.diff(trace.evaluations)
@@ -295,7 +294,7 @@ def test_criterion_11_batch_optimization_deep_circuit():
 def test_criterion_12_hybrid_gradient_spread():
     with report(12, "gradient spread grows after 5 warm-up iterations"):
         template = build_rpqc(10, 20, structure_seed=11)
-        loss, grad_fn = loss_functions(template)
+        loss, value_and_grad = loss_functions(template)
 
         def iqr(values):
             lo, hi = np.percentile(values, [25, 75])
@@ -306,7 +305,7 @@ def test_criterion_12_hybrid_gradient_spread():
             rng = SeededRng(seed)
             mu0 = rng.uniform(template.num_params, 0, 2 * np.pi)
             _, trace = hybrid_optimize(
-                loss, grad_fn, mu0, 5, NesConfig(population=16),
+                loss, value_and_grad, mu0, 5, NesConfig(population=16),
                 GdConfig(learning_rate=0.1, max_iterations=1), rng,
             )
             snaps = {s.iteration: s.components for s in trace.gradient_snapshots}

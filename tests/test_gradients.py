@@ -14,7 +14,6 @@ from qnes.gradients import (
     local_cost_observable,
     loss_functions,
     parameter_shift_expectation_gradient,
-    stateprep_loss_gradient,
     surrogate_gradient_variance_scan,
 )
 from qnes.nes import NesConfig
@@ -39,6 +38,11 @@ def finite_difference(fn, params, h=1e-5):
 
 def sphere(rows):
     return np.sum(rows * rows, axis=1)
+
+
+def with_value(loss, grad):
+    """The value_and_grad of a toy loss over rows and its gradient function."""
+    return lambda x: (float(loss(x[None, :])[0]), grad(x))
 
 
 def count_kernel_rows(monkeypatch):
@@ -145,28 +149,75 @@ class TestComponents:
 
 class TestStateprepLossGradient:
     def test_chain_rule_hand_value(self):
-        grad = stateprep_loss_gradient(single_ry(), np.array([np.pi / 2]))
+        grad = loss_functions(single_ry())[1](np.array([np.pi / 2]))[1]
         # -2 * (1 - 0.5) * (-0.5) = +0.5
         assert np.isclose(grad[0], 0.5, atol=1e-12)
 
     def test_zero_at_perfect_preparation(self):
-        grad = stateprep_loss_gradient(single_ry(), np.array([0.0]))
+        grad = loss_functions(single_ry())[1](np.array([0.0]))[1]
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_matches_finite_difference(self, rng):
         template = build_rpqc(4, 2, structure_seed=8)
         params = rng.uniform(template.num_params, 0, 2 * np.pi)
-        grad = stateprep_loss_gradient(template, params)
-        loss, _ = loss_functions(template)
+        loss, value_and_grad = loss_functions(template)
+        grad = value_and_grad(params)[1]
         fd = finite_difference(lambda p: loss(p[None, :])[0], params)
         assert np.max(np.abs(grad - fd)) < 1e-6
+
+
+@st.composite
+def loss_cases(draw):
+    """(template, observable or None, point): rpqc on 2-6 qubits or alpqc on 3-6, and a
+    Pauli sum whose terms include odd-Y strings and the identity."""
+    q = draw(st.integers(2, 6))
+    layers = draw(st.integers(1, 3))
+    if q >= 3 and draw(st.booleans()):
+        template = build_alpqc(q, layers)
+    else:
+        template = build_rpqc(q, layers, structure_seed=draw(st.integers(0, 999)))
+    seed = draw(st.integers(0, 2**16))
+    gen = np.random.default_rng(seed)
+    observable = None
+    if draw(st.booleans()):
+        terms = [(float(gen.normal()), {}),
+                 (float(gen.normal()), {int(gen.integers(q)): "Y"})]  # odd Y count
+        for _ in range(draw(st.integers(0, 4))):
+            letters = gen.choice(list("IXYZ"), q)
+            terms.append((float(gen.normal()),
+                          {i: str(c) for i, c in enumerate(letters) if c != "I"}))
+        observable = PauliSum.build(q, terms)
+    return template, observable, gen.uniform(0, 2 * np.pi, template.num_params)
+
+
+class TestValueAndGrad:
+    """value_and_grad against its referees: the row loss and the parameter-shift gradient."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(loss_cases())
+    @example((build_rpqc(6, 2, 5), PauliSum.build(6, [(0.3, {}), (-0.8, {0: "Y", 5: "X"}),
+                                                      (0.6, {1: "Y", 2: "Y", 3: "Y"})]),
+              np.linspace(0.1, 6.2, build_rpqc(6, 2, 5).num_params)))
+    @example((build_alpqc(6, 2), PauliSum.build(6, [(1.1, {}), (0.4, {2: "Y", 4: "Z"})]),
+              np.linspace(6.0, 0.3, build_alpqc(6, 2).num_params)))
+    def test_bit_identical_to_loss_and_parameter_shift(self, case):
+        template, observable, z = case
+        loss, value_and_grad = loss_functions(template, observable)
+        value, grad = value_and_grad(z)
+        assert isinstance(value, float)
+        assert np.array_equal(value, loss(z[None, :])[0])
+        shift = parameter_shift_expectation_gradient(template, z, observable)
+        if observable is None:  # chain rule for (1 - E)**2
+            e = expectation_values(template, z[None, :], None)[0]
+            shift = -2.0 * (1.0 - e) * shift
+        assert np.array_equal(grad, shift)
 
 
 class TestGradientDescent:
     def test_quadratic_single_step(self):
         x, trace = gradient_descent(
             lambda rows: rows[:, 0] ** 2,
-            lambda x: 2 * x,
+            lambda x: (x[0] ** 2, 2 * x),
             np.array([1.0]),
             GdConfig(learning_rate=0.4, max_iterations=1),
         )
@@ -175,14 +226,14 @@ class TestGradientDescent:
 
     def test_zero_gradient_terminates_immediately(self):
         x, trace = gradient_descent(
-            lambda rows: np.ones(len(rows)), lambda x: np.zeros(2), np.zeros(2),
+            lambda rows: np.ones(len(rows)), lambda x: (1.0, np.zeros(2)), np.zeros(2),
             GdConfig(learning_rate=0.1, max_iterations=50),
         )
         assert len(trace) == 1
 
     def test_evaluation_accounting(self):
         _, trace = gradient_descent(
-            sphere, lambda x: 2 * x, np.full(3, 2.0),
+            sphere, with_value(sphere, lambda x: 2 * x), np.full(3, 2.0),
             GdConfig(learning_rate=0.1, max_iterations=4),
         )
         assert trace.evaluations == [0, 7, 14, 21, 28]
@@ -191,7 +242,7 @@ class TestGradientDescent:
         trace = RunTrace()
         for it in range(3):
             trace.record(it, 4 * it, 1.0, 0.1)
-        gradient_descent(sphere, lambda x: 2 * x, np.full(3, 2.0),
+        gradient_descent(sphere, with_value(sphere, lambda x: 2 * x), np.full(3, 2.0),
                          GdConfig(learning_rate=0.1, max_iterations=2), trace)
         assert trace.iterations == [0, 1, 2, 3, 4]
         assert trace.evaluations == [0, 4, 8, 15, 22]
@@ -205,7 +256,7 @@ class TestGradientDescent:
 
         with pytest.raises(RuntimeError, match="diverged"):
             gradient_descent(
-                loss, lambda x: np.array([-x[0] * 1e60]),
+                loss, with_value(loss, lambda x: np.array([-x[0] * 1e60])),
                 np.array([1.0]), GdConfig(learning_rate=1.0, max_iterations=5),
             )
 
@@ -364,14 +415,14 @@ class TestHybridOptimize:
         template = build_rpqc(3, 2, structure_seed=9)
         rng = SeededRng(4)
         mu0 = rng.uniform(template.num_params, 0, 2 * np.pi)
-        loss, grad_fn = loss_functions(template)
+        loss, value_and_grad = loss_functions(template)
         params, trace = hybrid_optimize(
-            loss, grad_fn, mu0, 0, NesConfig(population=8),
+            loss, value_and_grad, mu0, 0, NesConfig(population=8),
             GdConfig(learning_rate=0.1, max_iterations=10), SeededRng(4),
         )
         reference, ref_trace = gradient_descent(
             loss,
-            lambda z: stateprep_loss_gradient(template, z),
+            value_and_grad,
             mu0, GdConfig(learning_rate=0.1, max_iterations=10),
         )
         assert np.allclose(params, reference)
@@ -409,6 +460,75 @@ class TestHybridOptimize:
         # warm-up burns 4 evaluations per iteration, descent 2 * num_params + 1
         assert trace.evaluations[1] - trace.evaluations[0] == 4
         assert trace.evaluations[-1] - trace.evaluations[-2] == 2 * template.num_params + 1
+
+
+def record_kernel_calls(monkeypatch):
+    """Patch the gradients module's kernel binding; the returned list gets each call's rows."""
+    calls = []
+    original = qnes.gradients.run_circuit_batch
+
+    def recording(tmpl, rows):
+        calls.append(np.array(rows))
+        return original(tmpl, rows)
+
+    monkeypatch.setattr(qnes.gradients, "run_circuit_batch", recording)
+    return calls
+
+
+class TestOneCallPerPoint:
+    """A descent point costs one kernel call: 2P+1 rows, or 1 row at the last iterate."""
+
+    @pytest.mark.parametrize("observable", [None, "pauli_sum"])
+    def test_descent_runs_one_call_per_iteration(self, monkeypatch, observable):
+        template = build_rpqc(3, 2, structure_seed=4)
+        h = PauliSum.build(3, [(0.7, {0: "X", 1: "Y"}), (-0.3, {2: "Z"}), (0.5, {})])
+        loss, value_and_grad = loss_functions(template, h if observable else None)
+        x0 = SeededRng(3).uniform(template.num_params, 0, 2 * np.pi)
+        calls = record_kernel_calls(monkeypatch)
+        _, trace = gradient_descent(loss, value_and_grad, x0,
+                                    GdConfig(learning_rate=0.1, max_iterations=4, tolerance=0))
+        rows = 2 * template.num_params + 1
+        assert [len(c) for c in calls] == [rows] * 4 + [1]
+        assert len(trace) == 5 and trace.evaluations[-1] == 4 * rows
+        assert [s.iteration for s in trace.gradient_snapshots] == [0]
+
+    def test_zero_iterations_run_one_gradient_call(self, monkeypatch):
+        template = build_rpqc(3, 2, structure_seed=4)
+        calls = record_kernel_calls(monkeypatch)
+        _, trace = gradient_descent(*loss_functions(template), np.zeros(template.num_params),
+                                    GdConfig(learning_rate=0.1, max_iterations=0))
+        assert [len(c) for c in calls] == [2 * template.num_params + 1]
+        assert len(trace) == 1 and len(trace.gradient_snapshots) == 1
+
+    @pytest.mark.parametrize("observable", [None, "pauli_sum"])
+    def test_hybrid_hand_over_evaluates_its_gradient_once(self, monkeypatch, observable):
+        template = build_rpqc(3, 2, structure_seed=2)
+        h = PauliSum.build(3, [(0.7, {0: "Z", 1: "Z"}), (-0.4, {2: "X"})])
+        loss, value_and_grad = loss_functions(template, h if observable else None)
+        mu0 = SeededRng(1).uniform(template.num_params, 0, 2 * np.pi)
+        calls = record_kernel_calls(monkeypatch)
+        _, trace = hybrid_optimize(loss, value_and_grad, mu0, 3, NesConfig(population=4),
+                                   GdConfig(learning_rate=0.1, max_iterations=2), SeededRng(1))
+        gradient_calls = [c for c in calls if len(c) == 2 * template.num_params + 1]
+        # iteration 0, the hand-over at the warm-up's end, and descent's second iterate
+        centres = {c[0].tobytes() for c in gradient_calls}
+        assert len(gradient_calls) == len(centres) == 3
+        assert np.array_equal(gradient_calls[0][0], mu0)
+        assert [s.iteration for s in trace.gradient_snapshots] == [0, 3]
+
+    def test_warmup_stopped_at_iteration_0_snapshots_once(self, monkeypatch):
+        template = build_rpqc(3, 2, structure_seed=2)
+        loss, value_and_grad = loss_functions(template)
+        mu0 = SeededRng(1).uniform(template.num_params, 0, 2 * np.pi)
+        calls = record_kernel_calls(monkeypatch)
+        _, trace = hybrid_optimize(loss, value_and_grad, mu0, 6,
+                                   NesConfig(population=8, stop_threshold=0.1),
+                                   GdConfig(learning_rate=0.1, max_iterations=1), SeededRng(1),
+                                   sigma_init=0.1)
+        assert [s.iteration for s in trace.gradient_snapshots] == [0]
+        # the snapshot, the warm-up's centre, descent's start (recomputed) and its last loss
+        rows = 2 * template.num_params + 1
+        assert [len(c) for c in calls] == [rows, 1, rows, 1]
 
 
 CHUNK_TEMPLATES = {q: build_rpqc(q, 2, structure_seed=q) for q in (3, 6, 9)}

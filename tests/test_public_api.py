@@ -20,14 +20,14 @@ REMOVED = {
     "qnes.simulator": ["apply_gate", "stateprep_fitness", "stateprep_fitness_batch",
                        "apply_pauli_string", "_terms", "_flip_groups", "_pauli_action",
                        "_scratch", "_ScratchStore", "_SCRATCH", "_x_permutation", "_y_factor",
-                       "_z_sign", "_z_phase"],
+                       "_z_sign", "_z_phase", "run_circuit", "pauli_expectation"],
     "qnes.ansatz": ["template_from_text", "FAMILIES", "template_from_gates"],
     "qnes.nes": ["default_population", "estimate_fisher", "apply_fisher_inverse", "_rank_order",
                  "IsotropicDistribution", "canonical_step", "canonical_gradient_estimate",
                  "WalkerBatch"],
     "qnes.numerics": ["scale_from_factor"],
     "qnes.hamiltonian": ["vqe_fitness", "vqe_fitness_batch", "dense_matrix", "MAX_DENSE_QUBITS"],
-    "qnes.gradients": ["energy_loss_gradient"],
+    "qnes.gradients": ["energy_loss_gradient", "stateprep_loss_gradient"],
     "qnes.harness": ["_at_least", "_positive", "_width", "_parse_angle_token", "_path"],
 }
 

@@ -19,9 +19,7 @@ from qnes.simulator import (
     PauliSum,
     compile_circuit,
     norm_squared,
-    pauli_expectation,
     pauli_expectation_batch,
-    run_circuit,
     run_circuit_batch,
     vacuum_projector_expectation,
     zero_state,
@@ -53,7 +51,8 @@ class TestApplyGate:
         assert np.allclose(state, [0.0, 1.0], atol=1e-12)
 
     def test_cz_flips_sign_of_11(self):
-        state = run_circuit(flipped(2, 0, 1, then=[Gate("CZ", (0, 1))]), np.zeros(0))
+        template = flipped(2, 0, 1, then=[Gate("CZ", (0, 1))])
+        state = run_circuit_batch(template, np.zeros((1, 0)))[0]
         expected = np.zeros(4, dtype=complex)
         expected[3] = -1.0
         assert np.allclose(state, expected, atol=1e-12)
@@ -287,15 +286,15 @@ class TestCompiledPlan:
 class TestRunCircuit:
     def test_empty_circuit_is_identity(self):
         template = CircuitTemplate(2, [])
-        assert np.allclose(run_circuit(template, np.zeros(0)), [1, 0, 0, 0])
+        assert np.allclose(run_circuit_batch(template, np.zeros(0)[None])[0], [1, 0, 0, 0])
 
     def test_single_ry_half_pi(self):
-        state = run_circuit(single_slot_template(), np.array([np.pi / 2]))
+        state = run_circuit_batch(single_slot_template(), np.array([np.pi / 2])[None])[0]
         assert np.allclose(state, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="parameters"):
-            run_circuit(single_slot_template(), np.zeros(2))
+            run_circuit_batch(single_slot_template(), np.zeros(2)[None])
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match=r"one or more rows .* got shape \(0, 1\)"):
@@ -305,14 +304,14 @@ class TestRunCircuit:
         for _ in range(20):
             template = random_template(rng, 3, 15)
             params = rng.uniform(template.num_params, 0, 2 * np.pi)
-            assert abs(norm_squared(run_circuit(template, params)) - 1.0) < 1e-10
+            assert abs(norm_squared(run_circuit_batch(template, params[None])[0]) - 1.0) < 1e-10
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(100):
             q = int(rng.integers(1, 4, 1)[0])
             template = random_template(rng, q, int(rng.integers(1, 12, 1)[0]))
             params = rng.uniform(max(template.num_params, 1), 0, 2 * np.pi)[: template.num_params]
-            state = run_circuit(template, params)
+            state = run_circuit_batch(template, params[None])[0]
             expected = dense_unitary(template, params)[:, 0]
             assert np.max(np.abs(state - expected)) < 1e-10
 
@@ -327,14 +326,15 @@ class TestRunCircuit:
                 template = CircuitTemplate(q, gates)
                 params = rng.uniform(template.num_params, 0, 2 * np.pi)
                 expected = dense_unitary(template, params)[:, 0]
-                assert np.max(np.abs(run_circuit(template, params) - expected)) < 1e-10
+                state = run_circuit_batch(template, params[None])[0]
+                assert np.max(np.abs(state - expected)) < 1e-10
 
     def test_batch_matches_single_runs(self, rng):
         template = build_rpqc(4, 3, structure_seed=5)
         rows = rng.uniform(6 * template.num_params, 0, 2 * np.pi).reshape(6, -1)
         batch = run_circuit_batch(template, rows)
         for i in range(6):
-            assert np.max(np.abs(batch[i] - run_circuit(template, rows[i]))) < 1e-12
+            assert np.max(np.abs(batch[i] - run_circuit_batch(template, rows[i][None])[0])) < 1e-12
 
 
 class TestVacuumProjector:
@@ -342,18 +342,18 @@ class TestVacuumProjector:
         assert vacuum_projector_expectation(zero_state(3)) == 1.0
 
     def test_orthogonal_state(self):
-        state = run_circuit(flipped(2, 0), np.zeros(0))
+        state = run_circuit_batch(flipped(2, 0), np.zeros(0)[None])[0]
         assert abs(vacuum_projector_expectation(state)) < 1e-12
 
     def test_half_pi_rotation(self):
-        state = run_circuit(single_slot_template(), np.array([np.pi / 2]))
+        state = run_circuit_batch(single_slot_template(), np.array([np.pi / 2])[None])[0]
         assert np.isclose(vacuum_projector_expectation(state), 0.5)
 
     def test_range(self, rng):
         for _ in range(20):
             template = random_template(rng, 3, 12)
             params = rng.uniform(template.num_params, 0, 2 * np.pi)
-            value = vacuum_projector_expectation(run_circuit(template, params))
+            value = vacuum_projector_expectation(run_circuit_batch(template, params[None])[0])
             assert -1e-12 <= value <= 1.0 + 1e-12
 
 
@@ -389,27 +389,27 @@ class TestStateprepFitness:
 class TestPauliExpectation:
     def test_z_on_vacuum(self):
         h = PauliSum.build(1, [(1.0, {0: "Z"})])
-        assert np.isclose(pauli_expectation(zero_state(1), h), 1.0)
+        assert np.isclose(pauli_expectation_batch(zero_state(1), h)[0], 1.0)
 
     def test_x_on_plus_state(self):
-        state = run_circuit(single_slot_template(), np.array([np.pi / 2]))
+        state = run_circuit_batch(single_slot_template(), np.array([np.pi / 2])[None])[0]
         h = PauliSum.build(1, [(1.0, {0: "X"})])
-        assert np.isclose(pauli_expectation(state, h), 1.0)
+        assert np.isclose(pauli_expectation_batch(state, h)[0], 1.0)
 
     def test_zz_on_01(self):
-        state = run_circuit(flipped(2, 0), np.zeros(0))
+        state = run_circuit_batch(flipped(2, 0), np.zeros(0)[None])[0]
         h = PauliSum.build(2, [(1.0, {0: "Z", 1: "Z"})])
-        assert np.isclose(pauli_expectation(state, h), -1.0)
+        assert np.isclose(pauli_expectation_batch(state, h)[0], -1.0)
 
     def test_identity_term(self):
         h = PauliSum.build(2, [(0.5, {}), (0.25, {1: "Z"})])
-        assert np.isclose(pauli_expectation(zero_state(2), h), 0.75)
+        assert np.isclose(pauli_expectation_batch(zero_state(2), h)[0], 0.75)
 
     def test_single_string_in_unit_interval(self, rng):
         for _ in range(25):
             template = random_template(rng, 3, 12)
             params = rng.uniform(template.num_params, 0, 2 * np.pi)
-            state = run_circuit(template, params)
+            state = run_circuit_batch(template, params[None])[0]
             letters = ["X", "Y", "Z"]
             factors = {
                 q: letters[int(rng.integers(0, 3, 1)[0])]
@@ -419,7 +419,7 @@ class TestPauliExpectation:
             if not factors:
                 factors = {0: "Z"}
             h = PauliSum.build(3, [(1.0, factors)])
-            value = pauli_expectation(state, h)
+            value = pauli_expectation_batch(state, h)[0]
             assert -1.0 - 1e-10 <= value <= 1.0 + 1e-10
 
     def test_batch_agrees(self, rng):
@@ -427,7 +427,7 @@ class TestPauliExpectation:
         h = PauliSum.build(3, [(0.7, {0: "Z", 1: "Z"}), (-0.3, {2: "X"})])
         rows = rng.uniform(5 * template.num_params, 0, 2 * np.pi).reshape(5, -1)
         batch = pauli_expectation_batch(run_circuit_batch(template, rows), h)
-        single = [pauli_expectation(run_circuit(template, r), h) for r in rows]
+        single = [pauli_expectation_batch(run_circuit_batch(template, r[None]), h)[0] for r in rows]
         assert np.allclose(batch, single, atol=1e-12)
 
     def test_pauli_string_matches_dense(self, rng):
@@ -436,7 +436,7 @@ class TestPauliExpectation:
         for _ in range(10):
             template = random_template(rng, 3, 10)
             params = rng.uniform(template.num_params, 0, 2 * np.pi)
-            state = run_circuit(template, params)
+            state = run_circuit_batch(template, params[None])[0]
             expected = np.vdot(state, dense_pauli_string(paulis, 3) @ state).real
             assert np.isclose(pauli_expectation_batch(state, h)[0], expected, atol=1e-12)
 
