@@ -103,7 +103,6 @@ def batch_optimize(
     rng: SeededRng,
     variant: str = "snes",
     trace: RunTrace | None = None,
-    n_workers: int = 0,
 ) -> tuple[np.ndarray, RunTrace]:
     """Round-robin per-batch optimization with all other parameters frozen.
 
@@ -115,4 +114,4 @@ def batch_optimize(
         raise ValueError("initial_mu length must match the schedule's parameter count")
     blocks = [(idx, initial_distribution(variant, mu[idx], sigma_init))
               for idx in schedule.batches]
-    return _optimize_blocks(fitness, blocks, mu, config, rng, trace, n_workers)
+    return _optimize_blocks(fitness, blocks, mu, config, rng, trace)

@@ -77,7 +77,6 @@ class ExperimentConfig:
     template: CircuitTemplate
     optimizer: str
     sigma_init: float
-    workers: int
     nes: NesConfig
     gd: GdConfig | None  # None when [gradient_descent] learning_rate is unset
     partition: PartitionStrategy
@@ -124,7 +123,6 @@ KEYS = {
     ("ansatz", "structure_seed"): Key("0", int, low=0),
     ("optimizer", "kind"): Key("snes", OPTIMIZER_KINDS),
     ("optimizer", "sigma_init"): Key("0.1", float, 0, MAX_WIDTH, above=True),
-    ("optimizer", "workers"): Key("0", int, low=0),
     ("optimizer", "walkers"): Key("16", int, low=2),  # rank-based fitness shaping needs two
     ("optimizer", "stop_threshold"): Key("1e-8", float, low=0),
     ("gradient_descent", "learning_rate"): Key(None, float, 0, above=True),
@@ -250,7 +248,6 @@ def parse_config_text(text: str, base_dir: Path | None = None,
         template=template,
         optimizer=optimizer["kind"],
         sigma_init=optimizer["sigma_init"],
-        workers=optimizer["workers"],
         nes=NesConfig(population=optimizer["walkers"], max_iterations=iterations,
                       stop_threshold=optimizer["stop_threshold"]),
         gd=None if gd["learning_rate"] is None else GdConfig(
@@ -439,15 +436,12 @@ def _start(config: ExperimentConfig, seed: int) -> tuple[SeededRng, np.ndarray]:
 
 def _run_nes(config: ExperimentConfig, loss, seed: int) -> RunTrace:
     rng, mu0 = _start(config, seed)
-    trace = RunTrace()
     if config.experiment == "batch":
         schedule = make_partition(config.template, config.partition, rng)
-        batch_optimize(loss, schedule, mu0, config.sigma_init, config.nes, rng,
-                       variant=config.optimizer, trace=trace, n_workers=config.workers)
-    else:
-        optimize(loss, initial_distribution(config.optimizer, mu0, config.sigma_init),
-                 config.nes, rng, trace=trace, n_workers=config.workers)
-    return trace
+        return batch_optimize(loss, schedule, mu0, config.sigma_init, config.nes, rng,
+                              variant=config.optimizer)[1]
+    return optimize(loss, initial_distribution(config.optimizer, mu0, config.sigma_init),
+                    config.nes, rng)[1]
 
 
 def _run_hybrid(config: ExperimentConfig, loss, value_and_grad, seed: int) -> RunTrace:

@@ -11,16 +11,14 @@ learning rates of `default_learning_rates`:
 
 A step is a function of what it reads: `dist.step(samples, fitnesses)` maps one
 generation's (k, d) local samples and their k fitnesses to the next distribution.
-The fitness maps a (k, d) matrix of walker rows to k values, and is called once
-per generation, or once per row chunk on the run's thread pool; per-walker child
-random streams keep sampling independent of the execution schedule.
+The fitness maps a (k, d) matrix of walker rows to k values and is called once
+per generation; how it evaluates them is its own choice (`gradients.expectation_values`
+splits a large batch over the CPUs).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -215,25 +213,12 @@ def xnes_step(dist: FullDistribution, samples: np.ndarray,
     return FullDistribution(mu=mu, sigma=sigma * drift, shape=shape / drift)
 
 
-def _walker_fitnesses(fitness, points: np.ndarray, pool, n_workers: int) -> np.ndarray:
-    """Fitness of every walker row: one call, or one call per row chunk on the pool.
-
-    Rows are evaluated independently, so both give each row the same value; chunks
-    are never empty and are gathered in walker order.
-    """
-    if pool is None:
-        return np.asarray(fitness(points), dtype=float)
-    chunks = np.array_split(points, min(n_workers, len(points)))
-    return np.concatenate([np.asarray(v, dtype=float) for v in pool.map(fitness, chunks)])
-
-
 def optimize(
     fitness,
     dist,
     config: NesConfig,
     rng: SeededRng,
     trace: RunTrace | None = None,
-    n_workers: int = 0,
 ) -> tuple[np.ndarray, RunTrace]:
     """Sample -> evaluate -> step until the spread threshold or max_iterations.
 
@@ -243,12 +228,11 @@ def optimize(
     evaluations grow by exactly k per iteration.
     """
     blocks = [(np.arange(dist.mu.size), dist)]
-    return _optimize_blocks(fitness, blocks, np.array(dist.mu), config, rng, trace, n_workers)
+    return _optimize_blocks(fitness, blocks, np.array(dist.mu), config, rng, trace)
 
 
 def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: SeededRng,
-                     trace: RunTrace | None = None,
-                     n_workers: int = 0) -> tuple[np.ndarray, RunTrace]:
+                     trace: RunTrace | None = None) -> tuple[np.ndarray, RunTrace]:
     """The one strategy loop, over (indices, distribution) blocks of the vector mu.
 
     Blocks are disjoint and visited round-robin. Each iteration samples the
@@ -258,25 +242,20 @@ def _optimize_blocks(fitness, blocks, mu: np.ndarray, config: NesConfig, rng: Se
     """
     dists = [dist for _, dist in blocks]
     spreads = [dist.spread() for dist in dists]
-    if trace is None:
-        trace = RunTrace()
-    evaluations = 0
-    trace.record(0, evaluations, fitness(mu[None, :])[0], max(spreads))
-    with ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext() as pool:
-        for iteration in range(1, config.max_iterations + 1):
-            if max(spreads) <= config.stop_threshold:
-                break
-            active = (iteration - 1) % len(blocks)
-            idx = blocks[active][0]
-            samples = sample_walkers(dists[active], config.population, rng)
-            points = dists[active].to_task(samples)
-            if len(blocks) > 1:  # walkers equal mu outside the block's columns
-                points, block = np.repeat(mu[None, :], config.population, axis=0), points
-                points[:, idx] = block
-            fitnesses = _walker_fitnesses(fitness, points, pool, n_workers)
-            dist = dists[active] = dists[active].step(samples, fitnesses)
-            spreads[active] = dist.spread()
-            mu[idx] = dist.mu
-            evaluations += config.population
-            trace.record(iteration, evaluations, fitness(mu[None, :])[0], max(spreads), active)
+    trace, k = RunTrace() if trace is None else trace, config.population
+    trace.record(0, 0, fitness(mu[None, :])[0], max(spreads))
+    for iteration in range(1, config.max_iterations + 1):
+        if max(spreads) <= config.stop_threshold:
+            break
+        active = (iteration - 1) % len(blocks)
+        idx = blocks[active][0]
+        samples = sample_walkers(dists[active], k, rng)
+        points = dists[active].to_task(samples)
+        if len(blocks) > 1:  # walkers equal mu outside the block's columns
+            points, block = np.repeat(mu[None, :], k, axis=0), points
+            points[:, idx] = block
+        dist = dists[active] = dists[active].step(samples, fitness(points))
+        spreads[active] = dist.spread()
+        mu[idx] = dist.mu
+        trace.record(iteration, k * iteration, fitness(mu[None, :])[0], max(spreads), active)
     return mu, trace

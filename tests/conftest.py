@@ -5,12 +5,16 @@ The oracle builds the full 2**Q x 2**Q unitary from explicit Kronecker products
 and dense multiplication; it shares no code with the simulator's permutation and
 phase-vector kernel. The referees apply the kernel's and the observable's own
 formulas one gate or one term at a time, with no compiled plan or term table, so
-the simulator must match them bit for bit.
+the simulator must match them bit for bit. `force_split` makes `expectation_values`
+split calls that are too small to split on their own.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
+import qnes.gradients
 from qnes.ansatz import CircuitTemplate
 from qnes.numerics import SeededRng
 from qnes.simulator import Gate, ROTATION_KINDS
@@ -145,6 +149,27 @@ def random_template(rng: SeededRng, num_qubits, num_gates, cz_probability=0.3):
     if slot == 0:
         gates.append(Gate("RY", (0,), slot=0))
     return CircuitTemplate(num_qubits, gates)
+
+
+def set_cpus(patch, cpus):
+    """Make `expectation_values` see `cpus` CPUs."""
+    patch.setattr(qnes.gradients.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                  raising=False)
+
+
+def force_split(patch, cpus=2):
+    """Split every call of two or more rows over `cpus` threads (one per row at most); the
+    returned set collects the idents of the threads that ran the kernel."""
+    threads, kernel = set(), qnes.gradients.run_circuit_batch
+
+    def recording(template, rows):
+        threads.add(threading.get_ident())
+        return kernel(template, rows)
+
+    patch.setattr(qnes.gradients, "PART_BYTES", 1)
+    set_cpus(patch, cpus)
+    patch.setattr(qnes.gradients, "run_circuit_batch", recording)
+    return threads
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import dense_unitary, random_template
+from conftest import dense_unitary, force_split, random_template
 
 import qnes.gradients
 from qnes.ansatz import build_rpqc
@@ -330,37 +330,26 @@ def test_criterion_13_vqe_reaches_ground_energy():
         assert best - reference < 1e-3, f"gap {best - reference:.2e}"
 
 
-def test_criterion_14_determinism(tmp_path):
-    with report(14, "preset replays are byte-identical, including threaded walkers"):
+def test_criterion_14_determinism(tmp_path, monkeypatch):
+    with report(14, "preset replays are byte-identical, including split expectation calls"):
         from pathlib import Path
 
         config_path = Path(__file__).resolve().parent.parent / "configs" / "vqe_h2.ini"
         out = tmp_path / "replay"
 
-        def run_once(workers: int) -> dict[str, bytes]:
+        def run_once() -> dict[str, bytes]:
             if out.exists():
                 shutil.rmtree(out)
             config = load_config(config_path, seeds=[0, 1], out_dir=out,
-                                 overrides={
-                                     "experiment.max_iterations": "40",
-                                     "optimizer.workers": str(workers),
-                                 })
+                                 overrides={"experiment.max_iterations": "40"})
             run_experiment(config)
             return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-        assert run_once(0) == run_once(0)       # replay, vectorized evaluator
-        threaded = run_once(2)
-        assert threaded == run_once(2)          # replay under parallel walkers
-
-        # vectorized vs thread-pool walker evaluation is bit-identical at the API level
-        def sphere(rows):
-            return np.sum(rows * rows, axis=1)
-
-        def run_opt(workers):
-            rng = SeededRng(14)
-            dist = SeparableDistribution(np.ones(3), np.full(3, 0.4))
-            _, trace = optimize(sphere, dist, NesConfig(population=8, max_iterations=25),
-                                rng, n_workers=workers)
-            return trace.rows()
-
-        assert run_opt(0) == run_opt(4)
+        whole = run_once()
+        assert whole == run_once()              # replay, every call in one part
+        with monkeypatch.context() as patch:
+            threads = force_split(patch)
+            threaded = run_once()
+            assert len(threads) > 1             # the walker calls did split
+            assert threaded == run_once()       # replay with every call split over two threads
+        assert threaded == whole

@@ -148,7 +148,6 @@ TINY = {
     ("ansatz", "layers"): ["1", "2"],
     ("optimizer", "kind"): ["snes", "xnes", "gd"],
     ("optimizer", "sigma_init"): ["0.1", "1000"],
-    ("optimizer", "workers"): ["0", "2"],
     ("optimizer", "walkers"): ["2", "5"],
     ("optimizer", "stop_threshold"): ["0", "1e308"],
     ("gradient_descent", "learning_rate"): ["0.1", "1e308"],

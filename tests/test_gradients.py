@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qnes.gradients
+from conftest import force_split, set_cpus
 from qnes.ansatz import CircuitTemplate, build_alpqc, build_rpqc
 from qnes.gradients import (
     GdConfig,
@@ -569,3 +573,117 @@ class TestChunkInvariance:
             patch.setattr(qnes.gradients, "_chunk_rows", lambda num_qubits: chunk)
             chunked = expectation_values(template, rows, observable)
         assert np.array_equal(chunked, whole)
+
+
+SPLIT_TEMPLATES = {q: build_rpqc(q, 2, structure_seed=q) for q in range(2, 9)}
+SPLIT_OBSERVABLES = {
+    q: PauliSum.build(q, [(0.7, {0: "X", 1: "Y"}), (-0.3, {q - 1: "Z"}),
+                          (0.2, {0: "Y", q - 1: "X"}), (0.5, {})])
+    for q in SPLIT_TEMPLATES
+}
+
+
+def segmented_rows(qubits: int, num_rows: int, segment: int, seed: int) -> np.ndarray:
+    """Parameter rows in which each column varies per row, per run of `segment` rows, or
+    not at all, so that a part can share a column that differs across the call."""
+    gen = np.random.default_rng(seed)
+    p = SPLIT_TEMPLATES[qubits].num_params
+    rows = gen.uniform(0, 2 * np.pi, (num_rows, p))
+    kind = gen.integers(0, 3, p)
+    rows[:, kind == 1] = rows[np.arange(num_rows) // segment * segment][:, kind == 1]
+    rows[:, kind == 2] = rows[:1, kind == 2]
+    return rows
+
+
+@st.composite
+def split_cases(draw):
+    """(qubits, parameter rows, CPUs, whether to use the Pauli sum)."""
+    qubits = draw(st.integers(2, 8))
+    num_rows = draw(st.integers(1, 24))
+    rows = segmented_rows(qubits, num_rows, draw(st.integers(1, num_rows)),
+                          draw(st.integers(0, 2**16)))
+    return qubits, rows, draw(st.integers(2, 4)), draw(st.booleans())
+
+
+class TestParts:
+    """expectation_values splits a chunk of PART_BYTES or more per CPU into contiguous parts
+    on threads, and gives every row the bits of the unsplit call."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(split_cases())
+    @example((2, segmented_rows(2, 3, 1, 0), 4, True))      # three 1-row parts
+    @example((4, segmented_rows(4, 8, 4, 1), 2, True))      # columns shared within each part
+    @example((8, segmented_rows(8, 7, 7, 2), 3, False))     # ... and across the call
+    def test_split_gives_the_unsplit_values(self, case):
+        qubits, rows, cpus, pauli = case
+        template = SPLIT_TEMPLATES[qubits]
+        observable = SPLIT_OBSERVABLES[qubits] if pauli else None
+        assert qnes.gradients._part_count(qubits, len(rows)) == 1  # one part unpatched
+        whole = expectation_values(template, rows, observable)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            force_split(patch, cpus)
+            kernel = qnes.gradients.run_circuit_batch
+            patch.setattr(qnes.gradients, "run_circuit_batch",
+                          lambda tmpl, part: calls.append(len(part)) or kernel(tmpl, part))
+            split = expectation_values(template, rows, observable)
+        assert sorted(calls) == sorted(len(p) for p in np.array_split(rows, min(cpus, len(rows))))
+        assert np.array_equal(split, whole)
+
+    @pytest.mark.parametrize("cpus", [2, 8])
+    def test_part_count_at_real_sizes(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        part_count = qnes.gradients._part_count
+        assert part_count(12, 16) == 2  # 1 MiB of states: a 12-qubit walker call
+        assert part_count(12, 8) == 1   # 512 KiB: the scan's largest call at 12 qubits
+        assert part_count(10, 16) == 1  # 256 KiB: a 10-qubit walker call
+        assert part_count(10, 401) == min(cpus, 12)  # a 200-parameter descent gradient
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 30), st.integers(1, 10**6))
+    def test_one_cpu_never_splits(self, qubits, rows):
+        with pytest.MonkeyPatch.context() as patch:
+            set_cpus(patch, 1)
+            assert qnes.gradients._part_count(qubits, rows) == 1
+            patch.delattr(qnes.gradients.os, "sched_getaffinity")
+            patch.setattr(qnes.gradients.os, "cpu_count", lambda: None)
+            assert qnes.gradients._part_count(qubits, rows) == 1
+
+    def test_eight_parts_build_fresh_caches_at_once(self, monkeypatch):
+        # more threads than cores, switching every microsecond, each template's plan and
+        # each sum's compiled terms built by the parts at once: a lost write of any part
+        # leaves np.empty's garbage in its rows
+        force_split(monkeypatch, cpus=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                template = build_rpqc(4, 2, structure_seed=100 + seed)
+                observable = PauliSum.build(4, [(0.1 + seed, {0: "X", 3: "Y"}), (1.0, {2: "Z"})])
+                rows = np.random.default_rng(seed).uniform(0, 2 * np.pi, (16, 8))
+                split = expectation_values(template, rows, observable)
+                monkeypatch.setattr(qnes.gradients, "PART_BYTES", 1 << 40)
+                assert np.array_equal(split, expectation_values(template, rows, observable))
+                monkeypatch.setattr(qnes.gradients, "PART_BYTES", 1)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_later_part_failure_reaches_the_caller(self, monkeypatch):
+        force_split(monkeypatch)
+        caller, kernel = threading.get_ident(), qnes.gradients.run_circuit_batch
+
+        def failing(template, rows):
+            if threading.get_ident() != caller:
+                raise RuntimeError("part 1 failed")
+            return kernel(template, rows)
+
+        monkeypatch.setattr(qnes.gradients, "run_circuit_batch", failing)
+        with pytest.raises(RuntimeError, match="part 1 failed"):
+            expectation_values(SPLIT_TEMPLATES[3], segmented_rows(3, 4, 1, 0), None)
+
+    def test_a_split_call_keeps_the_callers_buffer_size(self, monkeypatch):
+        before = np.getbufsize()
+        threads = force_split(monkeypatch)
+        # 256-amplitude rows, 3 per part: each part lowers its own thread's buffer
+        expectation_values(SPLIT_TEMPLATES[8], segmented_rows(8, 6, 1, 0), SPLIT_OBSERVABLES[8])
+        assert len(threads) == 2 and np.getbufsize() == before

@@ -1,11 +1,14 @@
 import json
 import re
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qnes.gradients
+from conftest import force_split
 from qnes import harness
 from qnes.ansatz import AnsatzSpec
 from qnes.batching import PartitionStrategy
@@ -264,18 +267,35 @@ class TestConfigParsing:
 
 
 class TestRunExperiment:
-    def test_threaded_walkers_write_the_vectorized_data_rows(self, tmp_path):
-        def data_rows(workers):
-            out = tmp_path / f"workers{workers}"
+    def test_threaded_walkers_write_the_vectorized_data_rows(self, tmp_path, monkeypatch):
+        def data_rows(name):
+            out = tmp_path / name
             run_experiment(load_config(CONFIGS / "batch_q10_l50_snes.ini", seeds=[0], out_dir=out,
-                                       overrides={"experiment.max_iterations": "2",
-                                                  "optimizer.workers": str(workers)}))
+                                       overrides={"experiment.max_iterations": "2"}))
             return {p.name: [line for line in p.read_text().splitlines()
                              if not line.startswith("#")] for p in sorted(out.glob("*.csv"))}
 
-        threaded = data_rows(2)
+        whole = data_rows("whole")
+        with monkeypatch.context() as patch:
+            threads = force_split(patch)
+            threaded = data_rows("split")
+        assert len(threads) > 1
         assert len(threaded["trace_seed0.csv"]) == 4  # schema line plus iterations 0..2
-        assert threaded == data_rows(0)
+        assert threaded == whole
+
+    def test_a_failing_split_part_exits_3(self, tmp_path, monkeypatch, capsys):
+        force_split(monkeypatch)
+        caller, kernel = threading.get_ident(), qnes.gradients.run_circuit_batch
+
+        def failing(template, rows):
+            if threading.get_ident() != caller:
+                raise RuntimeError("a later part failed")
+            return kernel(template, rows)
+
+        monkeypatch.setattr(qnes.gradients, "run_circuit_batch", failing)
+        path = write_config(tmp_path, STATEPREP_CONFIG.format(out=tmp_path / "out"))
+        assert main(["run", str(path)]) == 3
+        assert "a later part failed" in capsys.readouterr().err
 
     def test_stateprep_writes_traces_and_summary(self, tmp_path):
         path = write_config(tmp_path, STATEPREP_CONFIG.format(out=tmp_path / "out"))
@@ -559,7 +579,8 @@ class TestCli:
         (["--override", "optimizer.stop_threshold=nan"], "[optimizer] stop_threshold"),
         (["--override", "optimizer.walkers=1"], "[optimizer] walkers"),
         (["--override", "ansatz.structure_seed=-1"], "[ansatz] structure_seed"),
-        (["--override", "optimizer.workers=-4"], "[optimizer] workers"),
+        # the key is gone: a config that still sets it, even to its old default, is rejected
+        (["--override", "optimizer.workers=0"], "[optimizer] workers"),
         (HYBRID + ["--override", "hybrid.snapshot_interval=2"], "[hybrid] snapshot_interval"),
         (["--override", "experiment.seeds=0 0"], "[experiment] seeds"),
         (["--seed", "1", "--seed", "1"], "[experiment] seeds"),
@@ -598,7 +619,7 @@ class TestCli:
             "scan-walker-count-0", "sigma-init-inf", "gd-max-iterations-negative",
             "scan-sigma-0", "scan-sigma-empty", "stop-threshold-nan", "snes-one-walker",
             "structure-seed-negative",
-            "workers-negative",
+            "workers-key-removed",
             "snapshot-interval-negative", "config-seeds-repeated", "cli-seeds-repeated",
             "scan-two-config-seeds", "scan-two-cli-seeds", "out-empty", "canonical",
             "optimizer-kind-unknown", "experiment-kind-unknown", "gd-one-walker",

@@ -9,6 +9,7 @@ import pytest
 
 import qnes
 from qnes.ansatz import AnsatzSpec
+from qnes.batching import batch_optimize
 from qnes.gradients import VarianceScanConfig, hybrid_optimize
 from qnes.harness import ExperimentConfig
 from qnes.nes import (FullDistribution, NesConfig, SeparableDistribution, optimize, snes_step,
@@ -66,4 +67,6 @@ def test_a_step_takes_only_what_it_reads():
     assert "callback" not in parameters(optimize)
     assert "snapshot_interval" not in parameters(hybrid_optimize)
     assert "hybrid_snapshot_interval" not in {f.name for f in fields(ExperimentConfig)}
-    assert len(fields(ExperimentConfig)) == 14
+    assert len(fields(ExperimentConfig)) == 13
+    for function in (optimize, batch_optimize):
+        assert "n_workers" not in parameters(function)

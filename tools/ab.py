@@ -1,7 +1,7 @@
 """Same-process A/B timing of two qnes source trees.
 
-    python3 tools/ab.py A_SRC B_SRC [--case Q:L:B:V ...] [--config PATH ...]
-                        [--set KEY=VALUE ...] [--pairs N] [--seed S]
+    python3 tools/ab.py A_SRC B_SRC [--case Q:L:B:V ...] [--call kernel|vacuum|pauli]
+                        [--config PATH ...] [--set KEY=VALUE ...] [--pairs N] [--seed S]
 
 A_SRC and B_SRC are `src` directories (each holds a `qnes` package); B is the
 change. Both trees load in this one process, under the package names `qnes_a`
@@ -13,15 +13,18 @@ kernel moves by a few percent.
   structure seed 11) and times `run_circuit_batch` on B rows in which V
   columns vary and the rest copy row 0. Every pair draws fresh rows, runs
   enough calls on each side to fill about 20 ms, and swaps which side goes
-  first. V = -1 means every column varies.
+  first. V = -1 means every column varies. `--call vacuum` times
+  `gradients.expectation_values` with the vacuum projector instead (the
+  state-preparation loss, threads included), and `--call pauli` with the
+  two-qubit Z0 Z1 cost of the scan.
 - A config runs whole, through each tree's `harness.load_config` and
   `run_experiment`, once per side per pair, with `--set` overrides applied.
   The data rows of every CSV it writes (the lines that are not `#` headers)
   must match between the sides.
 
 Per case the script prints each side's fastest time, the median B/A ratio of
-the pairs, and how many pairs B ran faster. It exits 1 if any kernel state or
-data row differs between the sides.
+the pairs, and how many pairs B ran faster. It exits 1 if any kernel state, expectation
+value or data row differs between the sides.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def load_tree(src: Path, side: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {part: importlib.import_module(f"{name}.{part}")
-            for part in ("ansatz", "harness", "simulator")}
+            for part in ("ansatz", "gradients", "harness", "simulator")}
 
 
 def case_rows(rng, num_params: int, b: int, varying: int) -> np.ndarray:
@@ -76,10 +79,20 @@ def report(label: str, times: dict) -> None:
           f"median B/A {statistics.median(ratios):.3f}, B faster in {faster} of {len(ratios)}")
 
 
-def kernel_case(trees, spec: str, pairs: int, rng) -> bool:
+def timed_call(tree, call: str, num_qubits: int):
+    """What a kernel case times: the kernel, or expectation values of the vacuum projector
+    or of the Z0 Z1 cost."""
+    if call == "kernel":
+        return tree["simulator"].run_circuit_batch
+    gradients = tree["gradients"]
+    observable = gradients.local_cost_observable(num_qubits) if call == "pauli" else None
+    return lambda template, rows: gradients.expectation_values(template, rows, observable)
+
+
+def kernel_case(trees, spec: str, call: str, pairs: int, rng) -> bool:
     q, layers, b, varying = (int(x) for x in spec.split(":"))
     templates = {s: trees[s]["ansatz"].build_rpqc(q, layers, structure_seed=11) for s in SIDES}
-    run = {s: trees[s]["simulator"].run_circuit_batch for s in SIDES}
+    run = {s: timed_call(trees[s], call, q) for s in SIDES}
     rows = case_rows(rng, templates["a"].num_params, b, varying)
     same = np.array_equal(run["a"](templates["a"], rows), run["b"](templates["b"], rows))
     repeat = max(1, int(0.02 / timed(lambda: run["a"](templates["a"], rows), 3)))
@@ -88,8 +101,8 @@ def kernel_case(trees, spec: str, pairs: int, rng) -> bool:
         rows = case_rows(rng, templates["a"].num_params, b, varying)
         for s in SIDES[::1 if i % 2 else -1]:
             times[s].append(timed(lambda: run[s](templates[s], rows), repeat))
-    report(f"kernel Q={q} L={layers} B={b} varying={varying}"
-           f"{'' if same else ' STATES DIFFER'}", times)
+    report(f"{call} Q={q} L={layers} B={b} varying={varying}"
+           f"{'' if same else ' VALUES DIFFER'}", times)
     return same
 
 
@@ -119,6 +132,7 @@ def main(argv=None) -> int:
     parser.add_argument("a_src", type=Path)
     parser.add_argument("b_src", type=Path)
     parser.add_argument("--case", action="append", default=[], metavar="Q:L:B:V")
+    parser.add_argument("--call", choices=("kernel", "vacuum", "pauli"), default="kernel")
     parser.add_argument("--config", action="append", default=[], type=Path)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     parser.add_argument("--pairs", type=int, default=10)
@@ -127,7 +141,7 @@ def main(argv=None) -> int:
     trees = {s: load_tree(src.resolve(), s) for s, src in zip(SIDES, (args.a_src, args.b_src))}
     rng = np.random.default_rng(args.seed)
     overrides = dict(item.split("=", 1) for item in args.set)
-    same = all([kernel_case(trees, spec, args.pairs, rng) for spec in args.case])
+    same = all([kernel_case(trees, spec, args.call, args.pairs, rng) for spec in args.case])
     with tempfile.TemporaryDirectory(prefix="qnes-ab-") as work:
         same &= all([config_case(trees, path.resolve(), overrides, args.pairs, Path(work))
                      for path in args.config])
